@@ -120,6 +120,9 @@ def validate_document(doc: dict) -> list[str]:
     check("model", lambda v: v in ("phase", "sphere"), "model must be 'phase' or 'sphere'")
     check("renorm_interval", lambda v: is_num(v) and v > 0, "renorm_interval must be positive")
     check("delta0", lambda v: is_num(v) and v > 0, "delta0 must be positive")
+    T, dt = doc.get("T", RunConfig.T), doc.get("dt", RunConfig.dt)
+    if exp != "fokker-planck" and is_num(T) and is_num(dt) and 0 < T < dt:
+        violations.append("dt must not exceed T")
     check("ratios", lambda v: isinstance(v, list) and v and all(is_num(r) and r >= 0 for r in v),
           "ratios must be a non-empty list of nonnegative numbers")
     if "matrix" in doc:
@@ -205,7 +208,7 @@ def _exp_simulate(cfg: RunConfig, threads: int) -> dict:
         finals.append(float(traj.final @ x0))
         if svg_series is None:
             svg_series = [(traj.times, traj.states[:, i]) for i in range(cfg.n)]
-    steps = int(np.ceil(cfg.T / cfg.dt - 1e-9)) if cfg.T > 0 else 0
+    steps = flows._step_count(cfg.T, cfg.dt)
     out = {
         "trajectory.csv": _csv(["t", "member_id", *[f"x_{i}" for i in range(cfg.n)]], rows),
         "summary.json": _json({
@@ -367,7 +370,7 @@ def _exp_dqf(cfg: RunConfig, threads: int) -> dict:
 
     # zero-noise cross-check: the same Heun stepper fed M dt as increments
     # (ascent orientation, matching the exp(tM) solution)
-    steps = int(np.ceil(cfg.T / cfg.dt - 1e-9)) if cfg.T > 0 else 0
+    steps = flows._step_count(cfg.T, cfg.dt)
     x = x0.copy()
     for _ in range(steps):
         x = integrators.heun_step_rqf(x, m * cfg.dt, 1.0).state

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from . import noise
+from . import flows, noise
 from .errors import NumericalError
 
 __all__ = [
@@ -274,23 +274,10 @@ def _benettin_phase(T, dt, renorm_interval, seed, delta0, spi):
     idx = 0
     k = 0
     for db, _ in path.blocks():
-        du_arr = db[:, 1, 1] - db[:, 0, 0]
-        dv_arr = db[:, 0, 1] + db[:, 1, 0]
+        du_arr, dv_arr = flows._phase_combos(db)
         for du, dv in zip(du_arr.tolist(), dv_arr.tolist()):
-            a1 = 0.5 * math.sin(2.0 * phi1)
-            b1 = 0.5 * math.cos(2.0 * phi1)
-            p = phi1 + a1 * du + b1 * dv
-            a2 = 0.5 * math.sin(2.0 * p)
-            b2 = 0.5 * math.cos(2.0 * p)
-            phi1 = phi1 + 0.5 * ((a1 + a2) * du + (b1 + b2) * dv)
-
-            a1 = 0.5 * math.sin(2.0 * phi2)
-            b1 = 0.5 * math.cos(2.0 * phi2)
-            p = phi2 + a1 * du + b1 * dv
-            a2 = 0.5 * math.sin(2.0 * p)
-            b2 = 0.5 * math.cos(2.0 * p)
-            phi2 = phi2 + 0.5 * ((a1 + a2) * du + (b1 + b2) * dv)
-
+            phi1 = flows._phase_heun(phi1, du, dv, math.sin, math.cos)
+            phi2 = flows._phase_heun(phi2, du, dv, math.sin, math.cos)
             k += 1
             if k % spi == 0:
                 d = math.remainder(phi2 - phi1, 2.0 * math.pi)
@@ -363,44 +350,29 @@ def _renorm2(x1, x2, y1, y2, delta0):
 
 
 def _benettin_sphere(n, T, dt, renorm_interval, seed, delta0, spi, q_scale, w_scale):
-    from .integrators import heun_step_bias, heun_step_rqf
-
+    # reference and companion as one 2-member run; the companion is pulled
+    # back to distance delta0 every spi steps
     intervals = int(T / (spi * dt) + 1e-9)
     steps = intervals * spi
-    with_vector = w_scale != 0.0
-    path = noise.NoisePath(seed, n, dt, steps, with_vector=with_vector)
-    x = np.zeros(n)
-    x[0] = 1.0
-    tangent = np.zeros(n)
-    tangent[1] = delta0
-    y = (x + tangent) / np.linalg.norm(x + tangent)
+    path = noise.NoisePath(seed, n, dt, steps, with_vector=w_scale != 0.0)
+    states = np.zeros((2, n))
+    states[:, 0] = 1.0
+    states[1, 1] = delta0
+    states[1] /= np.linalg.norm(states[1])
     logs = np.empty(intervals)
-    idx = 0
-    k = 0
-    sigma_q = abs(q_scale)
-    sigma_w = abs(w_scale)
-    for db, dwb in path.blocks():
-        dq_block = noise.symmetrize(db)
-        for j in range(len(dq_block)):
-            dq = dq_block[j]
-            if with_vector:
-                dw = dwb[j]
-                x = heun_step_bias(x, dq, dw, sigma_q, sigma_w).state
-                y = heun_step_bias(y, dq, dw, sigma_q, sigma_w).state
-            else:
-                sgn = 1.0 if q_scale >= 0 else -1.0
-                x = heun_step_rqf(x, sigma_q * dq, sgn).state if sigma_q != 0.0 else x
-                y = heun_step_rqf(y, sigma_q * dq, sgn).state if sigma_q != 0.0 else y
-            k += 1
-            if k % spi == 0:
-                diff = y - x
-                d = float(np.linalg.norm(diff))
-                ratio = d / delta0
-                _check_separation(ratio)
-                logs[idx] = math.log(ratio)
-                idx += 1
-                y = x + (delta0 / d) * diff
-                y = y / np.linalg.norm(y)
+
+    def renormalize(k, states):
+        if k % spi:
+            return
+        diff = states[1] - states[0]
+        d = float(np.linalg.norm(diff))
+        ratio = d / delta0
+        _check_separation(ratio)
+        logs[k // spi - 1] = math.log(ratio)
+        y = states[0] + (delta0 / d) * diff
+        states[1] = y / np.linalg.norm(y)
+
+    flows._advance(states, path, q_scale, w_scale, renormalize)
     return logs, steps * dt
 
 

@@ -5,7 +5,8 @@ an ensemble consumes the same symmetrized increment at every step, so the
 common-noise coupling is structural rather than something callers have to
 get right.  Monte Carlo over realizations uses per-replicate substreams
 (seed, replicate index) and advances whole chunks of replicates with
-batched array arithmetic.
+batched array arithmetic.  Every sphere runner goes through one Heun loop,
+``_advance``, which reads noise one block at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from . import noise
 from .errors import NumericalError, ResourceCapError
 from .geometry import fibonacci_sphere, random_unit_vector, unit_vector
+from .integrators import _heun_step
 
 __all__ = [
     "Ensemble",
@@ -90,38 +92,48 @@ def _step_count(T: float, dt: float) -> int:
     return int(math.ceil(T / dt - 1e-9))
 
 
-def _field(states: np.ndarray, dq: np.ndarray, dw, q_scale: float, w_scale: float) -> np.ndarray:
-    # states (m, n), dq (n, n) symmetric, dw (n,) or None
-    dqy = states @ dq
-    s = np.einsum("mi,mi->m", states, dqy)
-    f = q_scale * (dqy - s[:, None] * states)
-    if w_scale != 0.0:
-        f = f + w_scale * (dw[None, :] - (states @ dw)[:, None] * states)
-    return f
+def _located(path, what: str, step: int, bad) -> NumericalError:
+    # ``bad`` flags replicates along the leading axes of the state stack; a
+    # keyed path names the (seed, stream) of the first one
+    msg = f"{what} at step {step}"
+    if hasattr(path, "seed"):
+        rep = int(np.flatnonzero(bad)[0])
+        msg += f" (seed {path.seed}, stream {path.stream + rep})"
+    return NumericalError(msg)
 
 
-def _advance(states: np.ndarray, path, q_scale: float, w_scale: float, record=None) -> float:
-    """Heun-advance (m, n) ``states`` in place through ``path``; returns max defect."""
+def _advance(states: np.ndarray, path, q_scale: float, w_scale: float, on_step=None) -> float:
+    """Heun-advance ``states`` (..., m, n) in place through ``path``; returns the max defect.
+
+    ``path.blocks()`` yields ``(dB, dW)`` blocks whose leading axes match
+    those of ``states`` ahead of the step axis, so all m members of a
+    replicate consume that replicate's increment.  ``on_step(k, states)``
+    runs after the k-th step and may change ``states`` in place.
+    """
     max_defect = 0.0
     k = 0
     for db, dw_block in path.blocks():
-        if not np.all(np.isfinite(db)) or (dw_block is not None and not np.all(np.isfinite(dw_block))):
-            raise NumericalError("noise block contains non-finite entries")
+        finite = np.isfinite(db).all(axis=(-2, -1))
+        if dw_block is not None:
+            finite &= np.isfinite(dw_block).all(axis=-1)
+        if not finite.all():
+            j = int(np.argwhere(~finite)[:, -1].min())
+            raise _located(path, "non-finite noise increment", k + j, ~finite[..., j])
         dq_block = noise.symmetrize(db)
-        for j in range(len(dq_block)):
-            dq = dq_block[j]
-            dw = dw_block[j] if dw_block is not None else None
-            f1 = _field(states, dq, dw, q_scale, w_scale)
-            f2 = _field(states + f1, dq, dw, q_scale, w_scale)
-            out = states + 0.5 * (f1 + f2)
-            norms = np.sqrt(np.einsum("mi,mi->m", out, out))
-            defect = float(np.max(np.abs(norms - 1.0)))
-            if defect > max_defect:
-                max_defect = defect
-            states[...] = out / norms[:, None]
+        del db  # stepping needs only the symmetrized block
+        for j in range(dq_block.shape[-3]):
+            dw = None if dw_block is None else dw_block[..., j, :]
+            out, norms = _heun_step(states, dq_block[..., j, :, :], dw, q_scale, w_scale)
+            lo, hi = float(norms.min()), float(norms.max())
+            if not 0.0 < lo <= hi < math.inf:
+                bad = ~(np.isfinite(norms) & (norms > 0.0)).all(axis=-1)
+                raise _located(path, "non-finite or zero state", k, bad)
+            max_defect = max(max_defect, hi - 1.0, 1.0 - lo)
+            np.divide(out, norms[..., None], out=states)
             k += 1
-            if record is not None:
-                record[k] = states
+            if on_step is not None:
+                on_step(k, states)
+        del dq_block  # freed before the next block is drawn
     return max_defect
 
 
@@ -141,16 +153,7 @@ def simulate_rqf(x0, T: float, dt: float, seed: int, *, sign: float = -1.0, stre
     Runs ceil(T/dt) Heun steps on the symmetrized increments of the
     (seed, stream) noise path; deterministic given the seed.
     """
-    if sign not in (-1.0, 1.0, -1, 1):
-        raise ValueError("sign must be +1 or -1")
-    x0 = unit_vector(x0)
-    steps = _step_count(T, dt)
-    p = _resolve_path(path, seed, x0.size, dt, steps, False, stream)
-    states = x0[None, :].copy()
-    record = np.empty((steps + 1, 1, x0.size))
-    record[0] = states
-    _advance(states, p, float(sign), 0.0, record)
-    return Trajectory(times=dt * np.arange(steps + 1), states=record[:, 0])
+    return simulate_coupled([x0], T, dt, seed, sign=sign, stream=stream, path=path).members[0]
 
 
 def simulate_bias(
@@ -169,18 +172,10 @@ def simulate_bias(
     sigma_w = 0 is bit-identical to ``simulate_rqf`` with the same seed;
     sigma_q = 0 is the vector-noise (driftless) motion on the sphere.
     """
-    if sigma_q < 0 or sigma_w < 0:
-        raise ValueError("sigma_q and sigma_w must be nonnegative")
     if sigma_q == 0 and sigma_w == 0 and T > 0:
         warnings.warn("sigma_q = sigma_w = 0: dynamics are frozen", stacklevel=2)
-    x0 = unit_vector(x0)
-    steps = _step_count(T, dt)
-    p = _resolve_path(path, seed, x0.size, dt, steps, sigma_w != 0.0, stream)
-    states = x0[None, :].copy()
-    record = np.empty((steps + 1, 1, x0.size))
-    record[0] = states
-    _advance(states, p, -sigma_q, -sigma_w, record)
-    return Trajectory(times=dt * np.arange(steps + 1), states=record[:, 0])
+    ens = simulate_coupled([x0], T, dt, seed, sigma_q=sigma_q, sigma_w=sigma_w, stream=stream, path=path)
+    return ens.members[0]
 
 
 def simulate_coupled(
@@ -215,7 +210,7 @@ def simulate_coupled(
     states = arr.copy()
     record = np.empty((steps + 1, m, n))
     record[0] = states
-    _advance(states, p, float(sign) * sigma_q, float(sign) * sigma_w, record)
+    _advance(states, p, float(sign) * sigma_q, float(sign) * sigma_w, record.__setitem__)
     members = [
         Trajectory(times=dt * np.arange(steps + 1), states=record[:, i].copy()) for i in range(m)
     ]
@@ -226,46 +221,37 @@ def simulate_coupled(
 # -- batched Monte Carlo ------------------------------------------------------
 
 
-def _batch_field(states, dq, dw, q_scale, w_scale):
-    # states (c, m, n), dq (c, n, n), dw (c, n) or None
-    dqy = states @ dq
-    s = np.einsum("cmi,cmi->cm", states, dqy)
-    f = q_scale * (dqy - s[..., None] * states)
-    if w_scale != 0.0:
-        proj = np.einsum("cmi,ci->cm", states, dw)
-        f = f + w_scale * (dw[:, None, :] - proj[..., None] * states)
-    return f
+@dataclass(frozen=True)
+class _Replicates:
+    """The (seed, stream + i) noise paths, i < count, stacked block by block.
 
+    ``blocks()`` yields ``(dB, dW)`` of shape (count, take, n, n) and
+    (count, take, n): one noise block per replicate is alive at a time,
+    whatever the horizon.
+    """
 
-def _batch_chunk(initials, steps, dt, seed, rep_lo, rep_hi, q_scale, w_scale, with_vector, n, cp_steps):
-    c = rep_hi - rep_lo
-    m = initials.shape[0]
-    db = np.empty((c, steps, n, n))
-    dw = np.empty((c, steps, n)) if with_vector else None
-    for i, r in enumerate(range(rep_lo, rep_hi)):
-        p = noise.generate_path(seed, n, dt, steps, with_vector=with_vector, stream=r)
-        db[i] = p.matrix_increments
-        if with_vector:
-            dw[i] = p.vector_increments
-    dq = noise.symmetrize(db)
-    del db
-    states = np.broadcast_to(initials, (c, m, n)).copy()
-    snapshots = np.empty((len(cp_steps), c, m, n))
-    if 0 in cp_steps:
-        snapshots[cp_steps.index(0)] = states
-    for k in range(steps):
-        dqk = dq[:, k]
-        dwk = dw[:, k] if with_vector else None
-        f1 = _batch_field(states, dqk, dwk, q_scale, w_scale)
-        f2 = _batch_field(states + f1, dqk, dwk, q_scale, w_scale)
-        states = states + 0.5 * (f1 + f2)
-        norms = np.sqrt(np.einsum("cmi,cmi->cm", states, states))
-        states /= norms[..., None]
-        if (k + 1) in cp_steps:
-            snapshots[cp_steps.index(k + 1)] = states
-    if not np.all(np.isfinite(states)):
-        raise NumericalError("batch produced non-finite states")
-    return snapshots
+    seed: int
+    stream: int
+    count: int
+    n: int
+    dt: float
+    steps: int
+    with_vector: bool
+
+    def blocks(self):
+        # built by a helper, so the suspended generator holds no block
+        for pos in range(0, self.steps, noise.BLOCK_STEPS):
+            yield self._block(pos, min(noise.BLOCK_STEPS, self.steps - pos))
+
+    def _block(self, pos, take):
+        db = np.empty((self.count, take, self.n, self.n))
+        dw = np.empty((self.count, take, self.n)) if self.with_vector else None
+        for i in range(self.count):
+            p = noise.NoisePath(self.seed, self.n, self.dt, take, self.with_vector, self.stream + i, pos)
+            db[i], dw_i = next(p.blocks())
+            if dw is not None:
+                dw[i] = dw_i
+        return db, dw
 
 
 def batch_finals(
@@ -284,11 +270,13 @@ def batch_finals(
 ) -> np.ndarray:
     """Final states over independent noise realizations, shape (R, m, n).
 
-    Replicate r is driven by the substream (seed, r) and would match a
-    member-for-member run of ``simulate_coupled(..., stream=r)``.  Chunks
-    of replicates are advanced together; with ``threads > 1`` chunks are
-    fanned out to a thread pool and merged by index, so the result does
-    not depend on the worker count.
+    Replicate r is driven by the substream (seed, r) and matches a
+    member-for-member run of ``simulate_coupled(..., stream=r)`` bit-exactly.
+    Chunks of replicates are advanced together, reading one noise block
+    of at most ``chunk_bytes`` at a time, so the chunk width does not
+    shrink with the horizon; with ``threads > 1`` chunks are fanned out to
+    a thread pool and merged by index, so the result does not depend on
+    the worker count.
 
     ``checkpoints`` (times in [0, T]) switches the return value to the
     states at those times, shape (len(checkpoints), R, m, n).
@@ -304,22 +292,32 @@ def batch_finals(
     else:
         cp_steps = [min(steps, max(0, int(math.ceil(t / dt - 1e-9)))) for t in checkpoints]
     with_vector = sigma_w != 0.0
-    per_rep = steps * (n * n + (n if with_vector else 0)) * 8
-    if per_rep > noise.DEFAULT_MEM_CAP:
+    per_step = (n * n + (n if with_vector else 0)) * 8
+    if steps * per_step > noise.DEFAULT_MEM_CAP:
         raise ResourceCapError(
-            f"one replicate of {steps} steps needs {per_rep} bytes of increments "
-            f"(cap {noise.DEFAULT_MEM_CAP}); shorten the horizon or use the streaming "
-            f"simulate_* runners"
+            f"one replicate of {steps} steps draws {steps * per_step} bytes of increments "
+            f"(cap {noise.DEFAULT_MEM_CAP}); shorten the horizon"
         )
-    chunk = int(max(1, min(replicates, chunk_bytes // max(per_rep, 1))))
+    chunk = int(max(1, min(replicates, chunk_bytes // (min(steps, noise.BLOCK_STEPS) * per_step))))
     spans = [(lo, min(lo + chunk, replicates)) for lo in range(0, replicates, chunk)]
     q_scale = float(sign) * sigma_q
     w_scale = float(sign) * sigma_w
     out = np.empty((len(cp_steps), replicates, m, n))
+    at: dict[int, list[int]] = {}
+    for i, k in enumerate(cp_steps):
+        at.setdefault(k, []).append(i)
 
     def work(span):
         lo, hi = span
-        out[:, lo:hi] = _batch_chunk(arr, steps, dt, seed, lo, hi, q_scale, w_scale, with_vector, n, cp_steps)
+
+        def snapshot(k, states):
+            if k in at:
+                out[at[k], lo:hi] = states
+
+        states = np.broadcast_to(arr, (hi - lo, m, n)).copy()
+        snapshot(0, states)
+        path = _Replicates(seed, lo, hi - lo, n, dt, steps, with_vector)
+        _advance(states, path, q_scale, w_scale, snapshot)
 
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -350,6 +348,17 @@ def _phase_combos(db_block):
     return du, dv
 
 
+def _phase_heun(phi, du, dv, sin, cos):
+    # one Heun step of the circle model, unwrapped; math trig for floats,
+    # numpy trig for arrays
+    a1 = 0.5 * sin(2.0 * phi)
+    b1 = 0.5 * cos(2.0 * phi)
+    pred = phi + a1 * du + b1 * dv
+    a2 = 0.5 * sin(2.0 * pred)
+    b2 = 0.5 * cos(2.0 * pred)
+    return phi + 0.5 * ((a1 + a2) * du + (b1 + b2) * dv)
+
+
 def simulate_phase(phi0: float, T: float, dt: float, seed: int, *, stream: int = 0, path=None) -> PhaseTrajectory:
     """Circle reduction: d(phi) = (1/2) sin(2 phi) d(B22-B11) + (1/2) cos(2 phi) d(B12+B21).
 
@@ -366,12 +375,7 @@ def simulate_phase(phi0: float, T: float, dt: float, seed: int, *, stream: int =
     for db, _ in p.blocks():
         du_arr, dv_arr = _phase_combos(db)
         for du, dv in zip(du_arr.tolist(), dv_arr.tolist()):
-            a1 = 0.5 * math.sin(2.0 * phi)
-            b1 = 0.5 * math.cos(2.0 * phi)
-            pred = phi + a1 * du + b1 * dv
-            a2 = 0.5 * math.sin(2.0 * pred)
-            b2 = 0.5 * math.cos(2.0 * pred)
-            phi = (phi + 0.5 * ((a1 + a2) * du + (b1 + b2) * dv)) % TWO_PI
+            phi = _phase_heun(phi, du, dv, math.sin, math.cos) % TWO_PI
             k += 1
             angles[k] = phi
     return PhaseTrajectory(times=dt * np.arange(steps + 1), angles=angles)
@@ -394,12 +398,7 @@ def phase_finals(phi0: float, T: float, dt: float, seed: int, replicates: int, c
                 mat = next(db.blocks(chunk=take))[0]
                 du[i], dv[i] = _phase_combos(mat)
             for k in range(take):
-                a1 = 0.5 * np.sin(2.0 * phi)
-                b1 = 0.5 * np.cos(2.0 * phi)
-                pred = phi + a1 * du[:, k] + b1 * dv[:, k]
-                a2 = 0.5 * np.sin(2.0 * pred)
-                b2 = 0.5 * np.cos(2.0 * pred)
-                phi = np.mod(phi + 0.5 * ((a1 + a2) * du[:, k] + (b1 + b2) * dv[:, k]), TWO_PI)
+                phi = np.mod(_phase_heun(phi, du[:, k], dv[:, k], np.sin, np.cos), TWO_PI)
         finals[lo:hi] = phi
     return finals
 

@@ -2,9 +2,10 @@
 
 * Heun predictor-corrector for the Stratonovich sphere flows (quadratic
   matrix noise and/or linear vector noise), with renormalization to the
-  sphere after every step.  The flow itself preserves the sphere, so the
-  pre-renormalization defect is pure discretization error and is reported
-  alongside the state.
+  sphere after every step.  One step serves a single state here and whole
+  (replicate, member) stacks in the trajectory loop of ``rqf.flows``.  The
+  flow itself preserves the sphere, so the pre-renormalization defect is
+  pure discretization error and is reported alongside the state.
 * Euler-Maruyama step for the scalar inner-product diffusion on [-1, 1].
 * The exact solution map of the deterministic quadratic-form gradient
   flow, x(t) = exp(tM) x0 / ||exp(tM) x0||.
@@ -37,18 +38,36 @@ class StepResult:
     renorm_defect: float
 
 
-def _quadratic_field(y: np.ndarray, dq: np.ndarray, scale: float) -> np.ndarray:
-    # scale * (dq y - <y, dq y> y); tangent at y by construction
-    dqy = dq @ y
-    return scale * (dqy - np.dot(y, dqy) * y)
+def _field(states, dq, dw, q_scale: float, w_scale: float) -> np.ndarray:
+    # states (..., m, n), dq (..., n, n) symmetric, dw (..., n) or None; the
+    # result is tangent at every state by construction
+    dqy = states @ dq
+    s = np.einsum("...mi,...mi->...m", states, dqy)
+    f = q_scale * (dqy - s[..., None] * states)
+    if w_scale != 0.0:
+        proj = np.einsum("...mi,...i->...m", states, dw)
+        f = f + w_scale * (dw[..., None, :] - proj[..., None] * states)
+    return f
 
 
-def _finish_step(x: np.ndarray, half_sum: np.ndarray) -> StepResult:
-    out = x + half_sum
-    nrm = float(np.linalg.norm(out))
+def _heun_step(states, dq, dw, q_scale: float, w_scale: float):
+    """One Heun step of dX = q_scale P_X dQ X + w_scale P_X dW for (..., m, n) states.
+
+    Returns the corrected states before renormalization and their norms;
+    every member of a replicate consumes that replicate's increment.
+    """
+    f1 = _field(states, dq, dw, q_scale, w_scale)
+    f2 = _field(states + f1, dq, dw, q_scale, w_scale)
+    out = states + 0.5 * (f1 + f2)
+    return out, np.sqrt(np.einsum("...mi,...mi->...m", out, out))
+
+
+def _single_step(x, dq, dw, q_scale: float, w_scale: float) -> StepResult:
+    out, norms = _heun_step(np.asarray(x, dtype=float)[None, :], dq, dw, q_scale, w_scale)
+    nrm = float(norms[0])
     if not np.isfinite(nrm) or nrm == 0.0:
         raise NumericalError("step produced a non-finite or zero state")
-    return StepResult(state=out / nrm, renorm_defect=abs(nrm - 1.0))
+    return StepResult(state=out[0] / nrm, renorm_defect=abs(nrm - 1.0))
 
 
 def heun_step_rqf(x: np.ndarray, dq: np.ndarray, sign: float = -1.0) -> StepResult:
@@ -62,10 +81,7 @@ def heun_step_rqf(x: np.ndarray, dq: np.ndarray, sign: float = -1.0) -> StepResu
         raise ValueError("sign must be +1 or -1")
     if not np.all(np.isfinite(dq)):
         raise NumericalError("increment contains non-finite entries")
-    s = float(sign)
-    f1 = _quadratic_field(x, dq, s)
-    f2 = _quadratic_field(x + f1, dq, s)
-    return _finish_step(x, 0.5 * (f1 + f2))
+    return _single_step(x, dq, None, float(sign), 0.0)
 
 
 def heun_step_bias(
@@ -84,16 +100,7 @@ def heun_step_bias(
         raise ValueError("sigma_q and sigma_w must be nonnegative")
     if not (np.all(np.isfinite(dq)) and np.all(np.isfinite(dw))):
         raise NumericalError("increment contains non-finite entries")
-
-    def field(y):
-        f = _quadratic_field(y, dq, -sigma_q)
-        if sigma_w != 0.0:
-            f = f - sigma_w * (dw - np.dot(y, dw) * y)
-        return f
-
-    f1 = field(x)
-    f2 = field(x + f1)
-    return _finish_step(x, 0.5 * (f1 + f2))
+    return _single_step(x, dq, dw, -sigma_q, -sigma_w)
 
 
 def em_step_z(z: float, db: float, dt: float) -> float:

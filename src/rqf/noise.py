@@ -297,4 +297,6 @@ def symmetrize(db) -> np.ndarray:
     db = np.asarray(db, dtype=float)
     if db.ndim < 2 or db.shape[-1] != db.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {db.shape}")
-    return (db + np.swapaxes(db, -1, -2)) / 2.0
+    out = db + np.swapaxes(db, -1, -2)
+    out /= 2.0
+    return out

@@ -23,6 +23,7 @@ from math import sqrt
 import numpy as np
 
 from . import noise
+from .flows import _step_count
 from .integrators import em_step_z
 
 __all__ = [
@@ -101,16 +102,6 @@ class ZTrajectory:
     @property
     def final(self) -> float:
         return float(self.values[-1])
-
-
-def _step_count(T: float, dt: float) -> int:
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    if T == 0:
-        return 0
-    return int(np.ceil(T / dt - 1e-9))
 
 
 def simulate_z(z0: float, T: float, dt: float, seed: int, stream: int = 0) -> ZTrajectory:

@@ -68,6 +68,15 @@ class TestMainEntry:
         rc = cli.main(["zprocess", "--config", path])
         assert rc == 2
 
+    def test_step_longer_than_horizon_is_a_config_error(self, tmp_path, capsys):
+        doc = {"experiment": "simulate", "n": 3, "T": 0.5, "dt": 1.0, "seed": 1,
+               "out_dir": str(tmp_path / "runs")}
+        path = write_config(tmp_path, doc)
+        assert cli.main(["validate", "--config", path]) == 0
+        assert "dt must not exceed T" in json.loads(capsys.readouterr().out)["violations"]
+        assert cli.main(["simulate", "--config", path]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+
     def test_resource_cap_exit_code(self, tmp_path, capsys):
         doc = {"experiment": "uniformity", "n": 3, "T": 10_000.0, "dt": 1e-4,
                "seed": 1, "seed_count": 4, "out_dir": str(tmp_path / "runs")}

@@ -181,6 +181,12 @@ class TestLyapunovBenettin:
         est = lyapunov_benettin("sphere", {"n": 3}, 30.0, 1e-3, 0.1, seed=7)
         assert est.lambda_ < 0.0  # synchronizing regime
 
+    def test_vector_noise_sphere_exponent_negative(self):
+        # pure vector noise synchronizes pairs too (criterion 11), so the
+        # companion must contract
+        est = lyapunov_benettin("sphere", {"n": 3, "sigma_q": 0.0, "sigma_w": 1.0}, 30.0, 1e-2, 0.1, seed=8)
+        assert est.lambda_ < 0.0
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             lyapunov_benettin("phase", None, 10.0, 1e-2, 1e-3)

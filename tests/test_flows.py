@@ -5,6 +5,7 @@ import pytest
 
 from rqf import flows, noise, zprocess
 from rqf.diagnostics import ks_critical_value, ks_two_sample
+from rqf.errors import NumericalError
 from rqf.geometry import random_unit_vector
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -158,7 +159,59 @@ class TestNormPreservation:
             assert max_defect < 10 * dt
 
 
+class TestNonFiniteReporting:
+    def test_nan_increment_names_its_step(self):
+        db = np.zeros((100, 3, 3))
+        db[37, 1, 2] = np.nan
+        path = noise.ArrayPath(dt=1e-2, matrix_increments=db)
+        with pytest.raises(NumericalError, match=r"noise increment at step 37\b"):
+            flows.simulate_rqf(E1, 1.0, 1e-2, 0, path=path)
+
+    def test_nan_vector_increment_in_second_block(self):
+        db = np.zeros((1500, 3, 3))
+        dw = np.zeros((1500, 3))
+        dw[1200, 0] = np.inf
+        path = noise.ArrayPath(dt=1e-3, matrix_increments=db, vector_increments=dw)
+        with pytest.raises(NumericalError, match=r"step 1200\b"):
+            flows.simulate_bias(E1, 1.5, 1e-3, 0, 1.0, 1.0, path=path)
+
+    def test_keyed_path_names_seed_and_stream(self):
+        class KeyedPath(noise.ArrayPath):
+            seed = 11
+            stream = 4
+
+        db = np.zeros((20, 3, 3))
+        db[5] = np.nan
+        with pytest.raises(NumericalError, match=r"step 5 \(seed 11, stream 4\)"):
+            flows.simulate_rqf(E1, 0.2, 1e-2, 11, path=KeyedPath(dt=1e-2, matrix_increments=db))
+
+    def test_overflowing_state_names_its_step(self):
+        db = np.zeros((30, 3, 3))
+        db[12] = 1e200
+        path = noise.ArrayPath(dt=1e-2, matrix_increments=db)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match=r"state at step 12\b"):
+            flows.simulate_coupled([E1, E2], 0.3, 1e-2, 0, path=path)
+
+
 class TestBatchFinals:
+    @pytest.mark.parametrize("sigma_w", [0.0, 0.5])
+    def test_block_seam_matches_single_runs_bit_exact(self, sigma_w):
+        # 1536 steps cross the 1024-step noise block; checkpoints sit on
+        # both sides of the seam, and two replicates per chunk give three
+        # chunks
+        dt = 2.0**-10
+        initials = [E1, E2]
+        chunk_bytes = 2 * noise.BLOCK_STEPS * (9 + 3) * 8
+        snaps = flows.batch_finals(
+            np.stack(initials), 1.5, dt, 41, 5, sigma_w=sigma_w, chunk_bytes=chunk_bytes,
+            checkpoints=[1.0, 1025 * dt, 1.5],
+        )
+        for r in range(5):
+            ens = flows.simulate_coupled(initials, 1.5, dt, 41, sigma_w=sigma_w, stream=r)
+            record = np.stack([member.states for member in ens.members], axis=1)
+            assert np.array_equal(snaps[:, r], record[[1024, 1025, 1536]])
+
     def test_matches_single_run_bit_exact(self):
         fin = flows.batch_finals(E1[None, :], 0.5, 1e-3, 77, 5)
         for r in range(5):
@@ -177,6 +230,10 @@ class TestBatchFinals:
         a = flows.batch_finals(E1[None, :], 0.2, 1e-3, 78, 8, threads=1, chunk_bytes=1 << 16)
         b = flows.batch_finals(E1[None, :], 0.2, 1e-3, 78, 8, threads=4, chunk_bytes=1 << 16)
         assert np.array_equal(a, b)
+
+    def test_repeated_checkpoint_filled_each_time(self):
+        snap = flows.batch_finals(E1[None, :], 0.3, 1e-3, 79, 3, checkpoints=[0.1, 0.1, 0.3])
+        assert np.array_equal(snap[0], snap[1])
 
     def test_checkpoints_final_matches(self):
         snap = flows.batch_finals(E1[None, :], 0.3, 1e-3, 79, 3, checkpoints=[0.0, 0.1, 0.3])
