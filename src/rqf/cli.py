@@ -123,6 +123,13 @@ def validate_document(doc: dict) -> list[str]:
     T, dt = doc.get("T", RunConfig.T), doc.get("dt", RunConfig.dt)
     if exp != "fokker-planck" and is_num(T) and is_num(dt) and 0 < T < dt:
         violations.append("dt must not exceed T")
+    ri = doc.get("renorm_interval", RunConfig.renorm_interval)
+    if exp == "lyapunov" and is_num(T) and is_num(dt) and is_num(ri):
+        # the constraints lyapunov_benettin enforces
+        if ri <= dt:
+            violations.append("renorm_interval must exceed dt")
+        if T < 2 * ri:
+            violations.append("T must be >= 2 * renorm_interval")
     check("ratios", lambda v: isinstance(v, list) and v and all(is_num(r) and r >= 0 for r in v),
           "ratios must be a non-empty list of nonnegative numbers")
     if "matrix" in doc:
@@ -294,10 +301,10 @@ _Z_TABLE = (-0.9, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 0.9)
 
 def _exp_zprocess(cfg: RunConfig, threads: int) -> dict:
     z0s = sorted(set(_Z_TABLE) | {float(cfg.z0)})
+    table = zprocess.simulate_z_finals(np.array(z0s), cfg.T, cfg.dt, cfg.seed, cfg.seed_count)
     rows = []
-    for z0 in z0s:
+    for z0, finals in zip(z0s, table):
         p_cf = zprocess.hit_up_probability(z0)
-        finals = zprocess.simulate_z_finals(z0, cfg.T, cfg.dt, cfg.seed, cfg.seed_count)
         p_mc = float(np.mean(finals > 0.999))
         stderr = float(np.sqrt(max(p_mc * (1 - p_mc), 1e-12) / cfg.seed_count))
         rows.append([z0, p_cf, p_mc, stderr])
@@ -332,6 +339,7 @@ def _exp_fokker_planck(cfg: RunConfig, threads: int) -> dict:
             "cells": cfg.fp_cells,
             "T": cfg.T,
             "mass_drift": float(abs(evolved.masses.sum() - 1.0)),
+            "spectral_gap": zprocess.spectral_gap(cfg.fp_cells),
             "max_stable_dt": zprocess.max_stable_dt(cfg.fp_cells),
         }),
     }

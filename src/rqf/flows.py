@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -144,7 +144,14 @@ def _resolve_path(path, seed, n, dt, steps, with_vector, stream):
         raise ValueError(f"supplied path has {path.steps} steps, need {steps}")
     if path.n != n:
         raise ValueError(f"supplied path has n={path.n}, states have n={n}")
-    return path
+    if path.steps == steps:
+        return path
+    # the loop consumes every block a path yields: keep only the first ``steps``
+    if isinstance(path, noise.NoisePath):
+        return replace(path, steps=steps, _matrix=None, _vector=None)
+    vec = path.vector_increments
+    return replace(path, matrix_increments=path.matrix_increments[:steps],
+                   vector_increments=None if vec is None else vec[:steps])
 
 
 def simulate_rqf(x0, T: float, dt: float, seed: int, *, sign: float = -1.0, stream: int = 0, path=None) -> Trajectory:

@@ -5,14 +5,22 @@ sqrt(2)(1-z^2); its squared diffusion coefficient Sigma(z) = (1-z^2)^2
 matches the quadratic variation of <X_t, Y_t> for a common-noise pair on
 any sphere dimension.  Closed-form side: the polynomial scale function and
 boundary-hitting probabilities.  Numerical side: direct Euler-Maruyama
-simulation (single path and replicated batches) and a conservative
-finite-volume solver for the associated Fokker-Planck equation
+simulation (single path, and replicated batches over a whole table of
+starting points on shared noise) and a conservative finite-volume
+discretisation of the associated Fokker-Planck equation
 
     dp/dt = -d/dz(2z(1-z^2) p) + d^2/dz^2((1-z^2)^2 p)
 
 with zero-flux boundaries.  Both boundaries are attractive (the scale
 function is finite at +-1), so mass accumulates in the edge cells exactly
 as the simulated paths absorb at +-1.
+
+The finite-volume generator is tridiagonal with positive off-diagonals and
+zero column sums, so a diagonal scaling makes it symmetric: by default
+``fokker_planck_evolve`` applies its exact exponential through one
+symmetric tridiagonal eigendecomposition, at any horizon for the same
+cost.  Passing ``dt_pde`` runs the explicit upwind time-stepping of the
+same generator instead, kept as the cross-check.
 """
 
 from __future__ import annotations
@@ -21,8 +29,10 @@ from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from . import noise
+from .errors import NumericalError, ResourceCapError
 from .flows import _step_count
 from .integrators import em_step_z
 
@@ -37,11 +47,13 @@ __all__ = [
     "sigma_z",
     "simulate_z",
     "simulate_z_finals",
+    "spectral_gap",
     "z_diffusion",
     "z_drift",
 ]
 
 _SQRT2 = sqrt(2.0)
+_MASS_TOL = 1e-9  # a DensityGrid's total mass is 1 within this
 
 
 # -- closed forms -----------------------------------------------------------
@@ -119,7 +131,7 @@ def simulate_z(z0: float, T: float, dt: float, seed: int, stream: int = 0) -> ZT
 
 
 def simulate_z_finals(
-    z0: float,
+    z0,
     T: float,
     dt: float,
     seed: int,
@@ -130,15 +142,22 @@ def simulate_z_finals(
 
     Replicate r consumes the scalar stream (seed, r), identical to what
     ``simulate_z(..., stream=r)`` would consume, just advanced in batches.
+    ``z0`` is a scalar or a 1-D array of starting points; the result has
+    shape ``z0.shape + (replicates,)``.  Every starting point rides on the
+    same noise, drawn once per (stream, block), and the update is
+    elementwise, so each row equals the scalar-``z0`` call bit for bit.
     """
-    if not -1.0 <= z0 <= 1.0:
+    z0 = np.asarray(z0, dtype=float)
+    if z0.ndim > 1:
+        raise ValueError("z0 must be a scalar or a 1-D array")
+    if not np.all((z0 >= -1.0) & (z0 <= 1.0)):
         raise ValueError("z0 must be in [-1, 1]")
     steps = _step_count(T, dt)
-    finals = np.empty(replicates)
+    finals = np.empty(z0.shape + (replicates,))
     for start in range(0, replicates, chunk):
         streams = range(start, min(start + chunk, replicates))
         c = len(streams)
-        z = np.full(c, float(z0))
+        z = np.repeat(z0[..., None], c, axis=-1)
         for block in range((steps + noise.BLOCK_STEPS - 1) // noise.BLOCK_STEPS):
             take = min(noise.BLOCK_STEPS, steps - block * noise.BLOCK_STEPS)
             db = np.empty((c, take))
@@ -148,7 +167,7 @@ def simulate_z_finals(
                 one_minus = 1.0 - z * z
                 z += 2.0 * z * one_minus * dt + _SQRT2 * one_minus * db[:, k]
                 np.clip(z, -1.0, 1.0, out=z)
-        finals[start : start + c] = z
+        finals[..., start : start + c] = z
     return finals
 
 
@@ -167,8 +186,8 @@ class DensityGrid:
             raise ValueError("need at least 3 cells")
         if np.any(self.masses < 0):
             raise ValueError("masses must be nonnegative")
-        if abs(float(self.masses.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"total mass {self.masses.sum()!r} is not 1 within 1e-9")
+        if abs(float(self.masses.sum()) - 1.0) > _MASS_TOL:
+            raise ValueError(f"total mass {self.masses.sum()!r} is not 1 within {_MASS_TOL}")
 
     @property
     def m(self) -> int:
@@ -216,39 +235,118 @@ def max_stable_dt(m: int) -> float:
     return h * h / (2.0 * 1.0 + h * a_max)
 
 
+def _fp_coefficients(grid: DensityGrid):
+    """Upwind parts of the drift on the interior faces, and D = Sigma at the cells."""
+    faces = grid.edges[1:-1]
+    a_face = 2.0 * faces * (1.0 - faces * faces)
+    centers = grid.centers
+    return np.maximum(a_face, 0.0), np.minimum(a_face, 0.0), (1.0 - centers * centers) ** 2
+
+
+def _fp_rates(grid: DensityGrid):
+    """Transfer rates across the interior faces of the finite-volume generator A.
+
+    ``right[i]`` carries mass from cell i to cell i+1 and ``left[i]`` from
+    cell i+1 back to cell i, so A has sub-diagonal ``right``,
+    super-diagonal ``left`` and the diagonal that zeroes every column sum.
+    Both are strictly positive: D > 0 at every cell center.
+    """
+    h = grid.h
+    a_pos, a_neg, d_cell = _fp_coefficients(grid)
+    return (a_pos + d_cell[:-1] / h) / h, (d_cell[1:] / h - a_neg) / h
+
+
+def _fp_symmetrized(grid: DensityGrid):
+    """Scaling s and the symmetric tridiagonal B = S^-1 A S (diagonal, off-diagonal).
+
+    s[i+1] / s[i] = sqrt(right[i] / left[i]); s is built from cumulative
+    sums of logs and centered in log space, so neither S nor S^-1
+    overflows.
+    """
+    right, left = _fp_rates(grid)
+    diag = np.zeros(grid.m)
+    diag[:-1] -= right
+    diag[1:] -= left
+    log_s = np.concatenate(([0.0], np.cumsum(0.5 * (np.log(right) - np.log(left)))))
+    s = np.exp(log_s - 0.5 * (log_s.max() + log_s.min()))
+    return s, diag, np.sqrt(right * left)
+
+
+def spectral_gap(m: int) -> float:
+    """Absorption rate of the m-cell Fokker-Planck generator.
+
+    The generator has one zero mode and one near-zero mode (the mass split
+    between the two absorbing edges); the gap is the smallest |eigenvalue|
+    after those two.
+    """
+    _, diag, off = _fp_symmetrized(DensityGrid.uniform(m))
+    rates = np.sort(np.abs(eigvalsh_tridiagonal(diag, off)))
+    return float(rates[2])
+
+
 def fokker_planck_evolve(p0: DensityGrid, T: float, dt_pde: float | None = None) -> DensityGrid:
-    """Advance the cell masses to time T with a conservative finite-volume step.
+    """Advance the cell masses to time T under the conservative finite-volume generator.
 
     Fluxes live on cell faces (upwind advection of p, centered difference
     of D p); boundary faces carry zero flux, so total mass is conserved to
-    roundoff.  ``dt_pde`` defaults to 90% of the stability bound; passing a
-    larger value raises with the bound in the message.
+    roundoff.  By default the result is exact in time: p(T) = exp(A T) p0
+    from one eigendecomposition of the symmetrized generator, at a cost
+    that does not depend on T; it holds an m x m eigenvector matrix, and
+    raises ResourceCapError if that would exceed ``noise.DEFAULT_MEM_CAP``.
+    Passing ``dt_pde`` time-steps the same fluxes explicitly instead (the
+    cross-check); a value above the stability bound raises with the bound
+    in the message.
     """
     if T < 0:
         raise ValueError("T must be >= 0")
     m = p0.m
-    h = p0.h
-    dt_max = max_stable_dt(m)
     if dt_pde is None:
-        dt_pde = 0.9 * dt_max
+        if 8 * m * m > noise.DEFAULT_MEM_CAP:
+            raise ResourceCapError(
+                f"the spectral Fokker-Planck solve at m={m} holds {8 * m * m} bytes of "
+                f"eigenvectors (cap {noise.DEFAULT_MEM_CAP})"
+            )
     elif dt_pde <= 0:
         raise ValueError("dt_pde must be positive")
-    elif dt_pde > dt_max:
+    elif dt_pde > max_stable_dt(m):
         raise ValueError(
             f"dt_pde={dt_pde!r} violates the explicit stability bound; "
-            f"max stable dt_pde for m={m} is {dt_max!r}"
+            f"max stable dt_pde for m={m} is {max_stable_dt(m)!r}"
         )
     if T == 0:
         return DensityGrid(p0.masses.copy())
+    if dt_pde is None:
+        return _fp_spectral(p0, T)
+    return _fp_explicit(p0, T, dt_pde)
+
+
+def _fp_spectral(p0: DensityGrid, T: float) -> DensityGrid:
+    # exp(A T) = S V exp(Lambda T) V^T S^-1 with B = S^-1 A S = V Lambda V^T
+    s, diag, off = _fp_symmetrized(p0)
+    lam, vecs = eigh_tridiagonal(diag, off)
+    coeff = vecs.T @ (p0.masses / s)
+    coeff *= np.exp(lam * T)
+    mass = s * (vecs @ coeff)
+    # S amplifies the eigenvector roundoff by up to s.max() / s.min(), so
+    # cells the mass has not reached come out slightly negative (down to
+    # -2.4e-10 at m=2001); clipping them adds their mass, and a result that
+    # clipping leaves unnormalized is a failed solve
+    np.maximum(mass, 0.0, out=mass)
+    drift = abs(float(mass.sum()) - 1.0)
+    if not drift <= _MASS_TOL:
+        raise NumericalError(
+            f"spectral Fokker-Planck solve at m={p0.m}, T={T!r} drifts total mass by {drift!r} "
+            f"(tolerance {_MASS_TOL}); use fewer cells"
+        )
+    return DensityGrid(mass)
+
+
+def _fp_explicit(p0: DensityGrid, T: float, dt_pde: float) -> DensityGrid:
+    m = p0.m
+    h = p0.h
     steps = int(np.ceil(T / dt_pde - 1e-12))
     dt = T / steps
-
-    faces = p0.edges[1:-1]                      # interior faces
-    a_face = 2.0 * faces * (1.0 - faces * faces)
-    a_pos = np.maximum(a_face, 0.0)
-    a_neg = np.minimum(a_face, 0.0)
-    centers = p0.centers
-    d_cell = (1.0 - centers * centers) ** 2
+    a_pos, a_neg, d_cell = _fp_coefficients(p0)
 
     mass = p0.masses.copy()
     flux = np.empty(m + 1)

@@ -86,6 +86,24 @@ class TestMainEntry:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "resource"
 
+    def test_fokker_planck_cell_cap_exit_code(self, tmp_path, capsys):
+        # 20000 cells need 3.2 GB of eigenvectors, over the 1 GiB cap
+        doc = {"experiment": "fokker-planck", "T": 0.1, "seed": 1, "fp_cells": 20_000,
+               "out_dir": str(tmp_path / "runs")}
+        path = write_config(tmp_path, doc)
+        assert cli.main(["fokker-planck", "--config", path]) == 4
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "resource"
+
+    def test_lyapunov_interval_violations_are_config_errors(self, tmp_path, capsys):
+        for extra, message in (({"T": 0.15}, "T must be >= 2 * renorm_interval"),
+                               ({"dt": 0.1}, "renorm_interval must exceed dt")):
+            doc = {"experiment": "lyapunov", "model": "phase", "T": 1.0, "dt": 1e-2,
+                   "renorm_interval": 0.1, "seed": 1, "out_dir": str(tmp_path / "runs"), **extra}
+            assert message in cli.validate_document(doc)
+            path = write_config(tmp_path, doc)
+            assert cli.main(["lyapunov", "--config", path]) == 2
+            assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+
     def test_successful_run_writes_outputs(self, tmp_path, capsys):
         doc = dict(BASE, seed_count=20, out_dir=str(tmp_path / "runs"))
         path = write_config(tmp_path, doc)
@@ -161,6 +179,14 @@ class TestExperimentOutputs:
         assert lines[0] == "z_center,mass"
         assert len(lines) == 102
         summary = json.loads((run_dir / "summary.json").read_text())
+        assert summary["mass_drift"] < 1e-9
+
+    def test_fokker_planck_reports_spectral_gap(self, tmp_path):
+        doc = {"experiment": "fokker-planck", "T": 2.5, "seed": 6, "fp_cells": 401,
+               "z0": 0.3, "out_dir": str(tmp_path / "runs")}
+        cli.run(cli.RunConfig(**doc))
+        summary = json.loads((tmp_path / "runs" / "fokker-planck-6" / "summary.json").read_text())
+        assert abs(summary["spectral_gap"] - 2.966) < 1e-3
         assert summary["mass_drift"] < 1e-9
 
     def test_lyapunov_output(self, tmp_path):

@@ -55,6 +55,18 @@ class TestSimulateRqf:
         stat, _ = ks_two_sample(rqf_t1, bm_t05)
         assert stat < ks_critical_value(reps, reps, 0.01)
 
+    def test_longer_path_uses_its_first_steps(self):
+        db = np.random.default_rng(23).normal(scale=0.1, size=(20, 3, 3))
+        long = flows.simulate_rqf(E1, 0.1, 1e-2, 0, path=noise.ArrayPath(dt=1e-2, matrix_increments=db))
+        short = flows.simulate_rqf(E1, 0.1, 1e-2, 0, path=noise.ArrayPath(dt=1e-2, matrix_increments=db[:10]))
+        assert long.states.shape == (11, 3)
+        assert np.array_equal(long.states, short.states)
+        # a keyed path longer than the run matches the run's own path
+        keyed = noise.generate_path(24, 3, 1e-2, 2000, with_vector=True, materialize=False)
+        ens = flows.simulate_coupled([E1], 0.1, 1e-2, 24, sigma_w=0.5, path=keyed)
+        assert ens.noise.steps == 10
+        assert np.array_equal(ens.final_states, flows.simulate_coupled([E1], 0.1, 1e-2, 24, sigma_w=0.5).final_states)
+
 
 class TestSimulateCoupled:
     def test_equal_initials_stay_bit_identical(self):

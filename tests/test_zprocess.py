@@ -190,3 +190,48 @@ class TestFokkerPlanck:
         g = DensityGrid.delta(0.2, 101)
         out = fokker_planck_evolve(g, 0.0)
         assert np.array_equal(out.masses, g.masses)
+
+
+def _dense_generator(m):
+    right, left = zprocess._fp_rates(DensityGrid.uniform(m))
+    a = np.diag(right, -1) + np.diag(left, 1)
+    return a - np.diag(a.sum(axis=0))
+
+
+class TestSpectralFokkerPlanck:
+    @pytest.mark.parametrize("T", [0.1, 1.0, 10.0])
+    def test_matches_dense_matrix_exponential(self, T):
+        from scipy.linalg import expm
+
+        p0 = DensityGrid.delta(0.3, 101)
+        exact = expm(_dense_generator(101) * T) @ p0.masses
+        assert np.abs(fokker_planck_evolve(p0, T).masses - exact).sum() < 1e-10
+
+    def test_matches_explicit_loop(self):
+        p0 = DensityGrid.delta(0.3, 201)
+        spectral = fokker_planck_evolve(p0, 0.5)
+        explicit = fokker_planck_evolve(p0, 0.5, dt_pde=0.9 * max_stable_dt(201))
+        assert np.abs(spectral.masses - explicit.masses).sum() < 1e-3
+
+    def test_fine_grid_tiny_horizon_is_a_valid_density(self):
+        # roundoff negatives of the eigenvector sum are clipped, not rejected
+        out = fokker_planck_evolve(DensityGrid.delta(0.9, 2001), 1e-5)
+        assert isinstance(out, DensityGrid)
+        assert abs(out.masses.sum() - 1.0) < 1e-9
+
+    def test_spectral_gap(self):
+        assert zprocess.spectral_gap(401) == pytest.approx(2.966, abs=1e-3)
+
+
+class TestZFinalsTable:
+    def test_array_z0_rows_equal_scalar_calls(self):
+        # 1100 steps cross a noise block; 10 replicates span three chunks of 4
+        z0s = np.array([-0.5, 0.0, 0.3])
+        table = simulate_z_finals(z0s, 11.0, 1e-2, 31, 10, chunk=4)
+        assert table.shape == (3, 10)
+        for row, z0 in zip(table, z0s):
+            assert np.array_equal(row, simulate_z_finals(z0, 11.0, 1e-2, 31, 10, chunk=4))
+
+    def test_rejects_out_of_range_entry(self):
+        with pytest.raises(ValueError):
+            simulate_z_finals(np.array([0.0, 1.5]), 1.0, 1e-2, 1, 4)
