@@ -3,8 +3,7 @@
 A run is described by a single JSON document (flags may override the
 top-level seed/output scalars), executes one named experiment, and writes
 CSV/JSON/SVG artifacts plus a manifest with a content hash per output.
-Identical configs reproduce identical content hashes, independent of the
-worker count (``RQF_THREADS``).
+Identical configs reproduce identical content hashes.
 
 Exit codes: 0 success, 2 config error, 3 numerical error, 4 resource cap.
 """
@@ -191,19 +190,10 @@ def _default_x0(cfg: RunConfig) -> np.ndarray:
     return unit_vector(e1)
 
 
-def _threads(explicit: int | None) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    try:
-        return max(1, int(os.environ.get("RQF_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # -- experiments ----------------------------------------------------------------
 
 
-def _exp_simulate(cfg: RunConfig, threads: int) -> dict:
+def _exp_simulate(cfg: RunConfig) -> dict:
     x0 = _default_x0(cfg)
     rows = []
     finals = []
@@ -230,7 +220,7 @@ def _exp_simulate(cfg: RunConfig, threads: int) -> dict:
     return out
 
 
-def _exp_coupled(cfg: RunConfig, threads: int) -> dict:
+def _exp_coupled(cfg: RunConfig) -> dict:
     initials = flows.sphere_grid(cfg.members, cfg.n, cfg.seed)
     ens = flows.simulate_coupled(initials, cfg.T, cfg.dt, cfg.seed,
                                  sigma_q=cfg.sigma_q, sigma_w=cfg.sigma_w, sign=cfg.sign)
@@ -258,7 +248,7 @@ def _exp_coupled(cfg: RunConfig, threads: int) -> dict:
     return out
 
 
-def _exp_pullback(cfg: RunConfig, threads: int) -> dict:
+def _exp_pullback(cfg: RunConfig) -> dict:
     grid = flows.sphere_grid(cfg.grid_points, cfg.n, cfg.seed)
     res = flows.pullback_run(grid, cfg.T, cfg.dt, cfg.seed, diameter_tol=cfg.diameter_tol)
 
@@ -299,7 +289,7 @@ def _exp_pullback(cfg: RunConfig, threads: int) -> dict:
 _Z_TABLE = (-0.9, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 0.9)
 
 
-def _exp_zprocess(cfg: RunConfig, threads: int) -> dict:
+def _exp_zprocess(cfg: RunConfig) -> dict:
     z0s = sorted(set(_Z_TABLE) | {float(cfg.z0)})
     table = zprocess.simulate_z_finals(np.array(z0s), cfg.T, cfg.dt, cfg.seed, cfg.seed_count)
     rows = []
@@ -328,7 +318,7 @@ def _exp_zprocess(cfg: RunConfig, threads: int) -> dict:
     return out
 
 
-def _exp_fokker_planck(cfg: RunConfig, threads: int) -> dict:
+def _exp_fokker_planck(cfg: RunConfig) -> dict:
     p0 = zprocess.DensityGrid.delta(cfg.z0, cfg.fp_cells)
     evolved = zprocess.fokker_planck_evolve(p0, cfg.T)
     out = {
@@ -350,7 +340,7 @@ def _exp_fokker_planck(cfg: RunConfig, threads: int) -> dict:
     return out
 
 
-def _exp_lyapunov(cfg: RunConfig, threads: int) -> dict:
+def _exp_lyapunov(cfg: RunConfig) -> dict:
     params = {"n": cfg.n, "sigma_q": cfg.sigma_q, "sigma_w": cfg.sigma_w, "sign": cfg.sign}
     est = diagnostics.lyapunov_benettin(
         cfg.model, params, cfg.T, cfg.dt, cfg.renorm_interval, cfg.seed, cfg.delta0
@@ -360,7 +350,7 @@ def _exp_lyapunov(cfg: RunConfig, threads: int) -> dict:
     }
 
 
-def _exp_dqf(cfg: RunConfig, threads: int) -> dict:
+def _exp_dqf(cfg: RunConfig) -> dict:
     if cfg.matrix is not None:
         m = np.asarray(cfg.matrix, dtype=float)
         if m.shape != (cfg.n, cfg.n):
@@ -406,14 +396,12 @@ def _exp_dqf(cfg: RunConfig, threads: int) -> dict:
     return out
 
 
-def _exp_bias_scan(cfg: RunConfig, threads: int) -> dict:
+def _exp_bias_scan(cfg: RunConfig) -> dict:
     initials = flows.sphere_grid(max(2, cfg.members), cfg.n, cfg.seed)[:2]
     rows = []
     for ratio in cfg.ratios:
-        finals = flows.batch_finals(
-            initials, cfg.T, cfg.dt, cfg.seed, cfg.seed_count,
-            sigma_q=1.0, sigma_w=float(ratio), threads=threads, chunk_bytes=1 << 22,
-        )
+        finals = flows.batch_finals(initials, cfg.T, cfg.dt, cfg.seed, cfg.seed_count,
+                                    sigma_q=1.0, sigma_w=float(ratio), chunk_bytes=1 << 22)
         inner = np.einsum("ri,ri->r", finals[:, 0], finals[:, 1])
         polar = float(np.mean(inner > 0.995))
         antipolar = float(np.mean(inner < -0.995))
@@ -440,11 +428,9 @@ def _exp_bias_scan(cfg: RunConfig, threads: int) -> dict:
     return out
 
 
-def _exp_uniformity(cfg: RunConfig, threads: int) -> dict:
+def _exp_uniformity(cfg: RunConfig) -> dict:
     x0 = _default_x0(cfg)
-    finals = flows.batch_finals(
-        x0[None, :], cfg.T, cfg.dt, cfg.seed, cfg.seed_count, threads=threads, chunk_bytes=1 << 22
-    )
+    finals = flows.batch_finals(x0[None, :], cfg.T, cfg.dt, cfg.seed, cfg.seed_count, chunk_bytes=1 << 22)
     report = diagnostics.uniformity_check(finals[:, 0, :])
     return {
         "report.json": _json({"seed": cfg.seed, "T": cfg.T, **report.as_dict()}),
@@ -465,10 +451,9 @@ _RUNNERS = {
 
 
 def run(cfg: RunConfig, threads: int | None = None) -> dict:
-    """Execute one experiment; write outputs and the manifest; return the manifest."""
-    workers = _threads(threads)
+    """Execute one experiment (``threads`` is ignored); write outputs and the manifest; return it."""
     started = time.perf_counter()
-    artifacts = _RUNNERS[cfg.experiment](cfg, workers)
+    artifacts = _RUNNERS[cfg.experiment](cfg)
     run_dir = os.path.join(cfg.out_dir, f"{cfg.experiment}-{cfg.seed}")
     os.makedirs(run_dir, exist_ok=True)
     hashes = {}
@@ -511,7 +496,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="override the output directory")
     parser.add_argument("--no-svg", action="store_true", help="skip SVG plot emission")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (RQF_THREADS caps/sets the default)")
+                        help="accepted and ignored; every experiment runs on one thread")
     args = parser.parse_args(argv)
 
     if args.experiment == "validate":
@@ -545,7 +530,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, overrides)
-        manifest = run(cfg, threads=args.threads)
+        manifest = run(cfg)
     except ConfigError as exc:
         print(_error_json("config", str(exc)), file=sys.stderr)
         return 2

@@ -4,16 +4,15 @@ One noise realization is one :class:`~rqf.noise.NoisePath`; every member of
 an ensemble consumes the same symmetrized increment at every step, so the
 common-noise coupling is structural rather than something callers have to
 get right.  Monte Carlo over realizations uses per-replicate substreams
-(seed, replicate index) and advances whole chunks of replicates with
-batched array arithmetic.  Every sphere runner goes through one Heun loop,
-``_advance``, which reads noise one block at a time.
+(seed, replicate index) and advances replicates in wide batches.
+Every sphere runner goes through one Heun loop, ``_advance``, which reads
+noise one slice of at most one 1024-step block at a time.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,6 +79,11 @@ class PullbackResult:
     summary: object  # a diagnostics.ClusterSummary
 
 
+def _steps_to(t: float, dt: float) -> int:
+    # the one rounding rule: steps of size dt that reach time t
+    return int(math.ceil(t / dt - 1e-9))
+
+
 def _step_count(T: float, dt: float) -> int:
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -89,7 +93,7 @@ def _step_count(T: float, dt: float) -> int:
         return 0
     if dt > T:
         raise ValueError(f"dt={dt} exceeds T={T}")
-    return int(math.ceil(T / dt - 1e-9))
+    return _steps_to(T, dt)
 
 
 def _located(path, what: str, step: int, bad) -> NumericalError:
@@ -228,13 +232,36 @@ def simulate_coupled(
 # -- batched Monte Carlo ------------------------------------------------------
 
 
+# replicates read their noise one at a time, so a slice shorter than this
+# many steps costs more in reads than one wide batch saves in step calls
+_MIN_SLICE = 64
+
+
+def _spans(replicates: int, steps: int, per_step: int, chunk_bytes: int):
+    """``(lo, hi, size)`` per span: replicates lo..hi step together on slices of
+    ``size`` steps and at most ``chunk_bytes``, one span unless its slices would
+    be shorter than ``min(steps, _MIN_SLICE)``; the spans are then equal."""
+    if replicates < 0 or chunk_bytes < 1:
+        raise ValueError("replicates must be >= 0 and chunk_bytes >= 1")
+    if steps * per_step > noise.DEFAULT_MEM_CAP:
+        raise ResourceCapError(
+            f"one replicate of {steps} steps draws {steps * per_step} bytes of increments "
+            f"(cap {noise.DEFAULT_MEM_CAP}); shorten the horizon"
+        )
+    fit = max(1, chunk_bytes // (per_step * max(1, min(steps, _MIN_SLICE))))
+    count = max(1, -(-replicates // fit))
+    width = max(1, -(-replicates // count))  # equal spans of at most ``fit`` replicates
+    size = min(noise.BLOCK_STEPS, max(1, chunk_bytes // (width * per_step)))
+    return [(lo, min(lo + width, replicates), size) for lo in range(0, replicates, width)]
+
+
 @dataclass(frozen=True)
 class _Replicates:
-    """The (seed, stream + i) noise paths, i < count, stacked block by block.
+    """The (seed, stream + i) noise paths, i < count, read in lockstep.
 
-    ``blocks()`` yields ``(dB, dW)`` of shape (count, take, n, n) and
-    (count, take, n): one noise block per replicate is alive at a time,
-    whatever the horizon.
+    ``blocks()`` yields ``(dB, dW)`` slices of shape (count, size, n, n) and
+    (count, size, n); the last slice may be shorter.  Each replicate's
+    reader draws only the rows it delivers.
     """
 
     seed: int
@@ -244,18 +271,22 @@ class _Replicates:
     dt: float
     steps: int
     with_vector: bool
+    size: int
 
     def blocks(self):
-        # built by a helper, so the suspended generator holds no block
-        for pos in range(0, self.steps, noise.BLOCK_STEPS):
-            yield self._block(pos, min(noise.BLOCK_STEPS, self.steps - pos))
+        readers = [
+            noise.NoisePath(self.seed, self.n, self.dt, self.steps, self.with_vector, self.stream + i).blocks(self.size)
+            for i in range(self.count)
+        ]
+        for pos in range(0, self.steps, self.size):
+            # built by a helper, so the suspended generator holds no slice
+            yield self._slice(readers, min(self.size, self.steps - pos))
 
-    def _block(self, pos, take):
+    def _slice(self, readers, take):
         db = np.empty((self.count, take, self.n, self.n))
         dw = np.empty((self.count, take, self.n)) if self.with_vector else None
-        for i in range(self.count):
-            p = noise.NoisePath(self.seed, self.n, self.dt, take, self.with_vector, self.stream + i, pos)
-            db[i], dw_i = next(p.blocks())
+        for i, reader in enumerate(readers):
+            db[i], dw_i = next(reader)
             if dw is not None:
                 dw[i] = dw_i
         return db, dw
@@ -279,11 +310,13 @@ def batch_finals(
 
     Replicate r is driven by the substream (seed, r) and matches a
     member-for-member run of ``simulate_coupled(..., stream=r)`` bit-exactly.
-    Chunks of replicates are advanced together, reading one noise block
-    of at most ``chunk_bytes`` at a time, so the chunk width does not
-    shrink with the horizon; with ``threads > 1`` chunks are fanned out to
-    a thread pool and merged by index, so the result does not depend on
-    the worker count.
+    Replicates are advanced together in spans, one batched Heun step per
+    time step and span.  ``chunk_bytes`` bounds the noise slice in flight:
+    a slice holds a span's increments for as many steps as fit, at most
+    one 1024-step block.  A span holds every replicate unless its slices
+    would then be shorter than 64 steps (or than the run).  ``threads`` is
+    accepted and ignored: the batched step holds the GIL, so a second
+    thread only slows it.
 
     ``checkpoints`` (times in [0, T]) switches the return value to the
     states at those times, shape (len(checkpoints), R, m, n).
@@ -291,47 +324,26 @@ def batch_finals(
     arr = np.atleast_2d(np.asarray(initials, dtype=float))
     m, n = arr.shape
     steps = _step_count(T, dt)
-    if steps == 0:
-        out = np.broadcast_to(arr, (replicates, m, n)).copy()
-        return out if checkpoints is None else np.broadcast_to(arr, (len(checkpoints), replicates, m, n)).copy()
+    with_vector = sigma_w != 0.0
+    spans = _spans(replicates, steps, noise.step_bytes(n, with_vector), chunk_bytes)
     if checkpoints is None:
         cp_steps = [steps]
     else:
-        cp_steps = [min(steps, max(0, int(math.ceil(t / dt - 1e-9)))) for t in checkpoints]
-    with_vector = sigma_w != 0.0
-    per_step = (n * n + (n if with_vector else 0)) * 8
-    if steps * per_step > noise.DEFAULT_MEM_CAP:
-        raise ResourceCapError(
-            f"one replicate of {steps} steps draws {steps * per_step} bytes of increments "
-            f"(cap {noise.DEFAULT_MEM_CAP}); shorten the horizon"
-        )
-    chunk = int(max(1, min(replicates, chunk_bytes // (min(steps, noise.BLOCK_STEPS) * per_step))))
-    spans = [(lo, min(lo + chunk, replicates)) for lo in range(0, replicates, chunk)]
-    q_scale = float(sign) * sigma_q
-    w_scale = float(sign) * sigma_w
+        cp_steps = [min(steps, max(0, _steps_to(t, dt))) for t in checkpoints]
     out = np.empty((len(cp_steps), replicates, m, n))
     at: dict[int, list[int]] = {}
     for i, k in enumerate(cp_steps):
         at.setdefault(k, []).append(i)
+    for lo, hi, size in spans:
 
-    def work(span):
-        lo, hi = span
-
-        def snapshot(k, states):
+        def snapshot(k, states, lo=lo, hi=hi):
             if k in at:
                 out[at[k], lo:hi] = states
 
         states = np.broadcast_to(arr, (hi - lo, m, n)).copy()
         snapshot(0, states)
-        path = _Replicates(seed, lo, hi - lo, n, dt, steps, with_vector)
-        _advance(states, path, q_scale, w_scale, snapshot)
-
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, spans))
-    else:
-        for span in spans:
-            work(span)
+        path = _Replicates(seed, lo, hi - lo, n, dt, steps, with_vector, size)
+        _advance(states, path, float(sign) * sigma_q, float(sign) * sigma_w, snapshot)
     return out[0] if checkpoints is None else out
 
 
@@ -350,8 +362,8 @@ def circle_angle(xy) -> np.ndarray:
 def _phase_combos(db_block):
     # the two independent drivers of the circle model, built from the same
     # 2x2 matrix path the sphere flow consumes at n = 2
-    du = db_block[:, 1, 1] - db_block[:, 0, 0]
-    dv = db_block[:, 0, 1] + db_block[:, 1, 0]
+    du = db_block[..., 1, 1] - db_block[..., 0, 0]
+    dv = db_block[..., 0, 1] + db_block[..., 1, 0]
     return du, dv
 
 
@@ -388,23 +400,19 @@ def simulate_phase(phi0: float, T: float, dt: float, seed: int, *, stream: int =
     return PhaseTrajectory(times=dt * np.arange(steps + 1), angles=angles)
 
 
-def phase_finals(phi0: float, T: float, dt: float, seed: int, replicates: int, chunk: int = 8192) -> np.ndarray:
-    """Final wrapped angles over independent replicate substreams."""
+# bytes of one dB slice of phase_finals; its two driver arrays add half that
+_PHASE_CHUNK_BYTES = 1 << 26
+
+
+def phase_finals(phi0: float, T: float, dt: float, seed: int, replicates: int) -> np.ndarray:
+    """Final wrapped angles over independent replicate substreams, stepped in ``batch_finals`` spans."""
     steps = _step_count(T, dt)
-    finals = np.empty(replicates)
-    for lo in range(0, replicates, chunk):
-        hi = min(lo + chunk, replicates)
-        c = hi - lo
-        phi = np.full(c, float(phi0) % TWO_PI)
-        for block in range((steps + noise.BLOCK_STEPS - 1) // noise.BLOCK_STEPS):
-            take = min(noise.BLOCK_STEPS, steps - block * noise.BLOCK_STEPS)
-            du = np.empty((c, take))
-            dv = np.empty((c, take))
-            for i, r in enumerate(range(lo, hi)):
-                db = noise.NoisePath(seed, 2, dt, take, stream=r, offset=block * noise.BLOCK_STEPS)
-                mat = next(db.blocks(chunk=take))[0]
-                du[i], dv[i] = _phase_combos(mat)
-            for k in range(take):
+    finals = np.full(replicates, float(phi0) % TWO_PI)
+    for lo, hi, size in _spans(replicates, steps, noise.step_bytes(2, False), _PHASE_CHUNK_BYTES):
+        phi = finals[lo:hi]
+        for db, _ in _Replicates(seed, lo, hi - lo, 2, dt, steps, False, size).blocks():
+            du, dv = _phase_combos(db)
+            for k in range(du.shape[1]):
                 phi = np.mod(_phase_heun(phi, du[:, k], dv[:, k], np.sin, np.cos), TWO_PI)
         finals[lo:hi] = phi
     return finals

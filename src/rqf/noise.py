@@ -8,11 +8,13 @@ That gives
 * bit-identical regeneration from the same seed,
 * O(1) random access to any step (time-shift views cost nothing),
 * non-overlapping per-trajectory substreams by construction, and
-* streaming iteration for paths too large to materialize.
+* streaming reads: ``NoisePath.blocks`` keeps each block's generator alive
+  and draws a block only as far as it reads it, never a whole block ahead.
 
 Matrix increments dB have iid Normal(0, dt) entries; the symmetrized
 increment dQ = (dB + dB^T)/2 then has Var(dQ_ii) = dt and
-Var(dQ_ij) = dt/2, i.e. dQ ~ sqrt(dt/2) * GOE.
+Var(dQ_ij) = dt/2, i.e. dQ ~ sqrt(dt/2) * GOE.  A block's vector
+increments dW follow its whole dB draw in the stream.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "scalar_block",
     "scalar_increments",
     "shift_path",
+    "step_bytes",
     "symmetrize",
 ]
 
@@ -59,18 +62,46 @@ def _block_generator(seed: int, stream: int, block: int, domain: int) -> np.rand
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _matrix_vector_block(seed, stream, block, n, sqrt_dt):
-    """Full block of matrix and vector increments.
+class _Reader:
+    """Successive ``(dB, dW)`` increments of one keyed path from absolute step ``start``.
 
-    The matrix draw always happens first, so paths with and without vector
-    increments share bit-identical matrix noise.
+    A block's Philox generator is created once and kept while the block is
+    read, and only delivered rows are drawn, apart from an offset path's
+    prefix.  A block's vector draws follow its whole matrix draw in the
+    stream, so a second generator is moved past that draw.
     """
-    rng = _block_generator(seed, stream, block, _MATRIX_DOMAIN)
-    db = rng.standard_normal((BLOCK_STEPS, n, n))
-    dw = rng.standard_normal((BLOCK_STEPS, n))
-    db *= sqrt_dt
-    dw *= sqrt_dt
-    return db, dw
+
+    def __init__(self, path, start: int, with_vector: bool):
+        self.path, self.with_vector = path, with_vector
+        self.block, self.row = divmod(start, BLOCK_STEPS)
+        self.rngs = []
+
+    def read(self, take: int):
+        p, n = self.path, self.path.n
+        out = [np.empty((take, n, n))] + ([np.empty((take, n))] if self.with_vector else [])
+        filled = 0
+        while filled < take:
+            if not self.rngs:
+                self.rngs = [_block_generator(p.seed, p.stream, self.block, _MATRIX_DOMAIN) for _ in out]
+                self.rngs[0].standard_normal((self.row, n, n))
+                if self.with_vector:
+                    self.rngs[1].standard_normal((BLOCK_STEPS, n, n))
+                    self.rngs[1].standard_normal((self.row, n))
+            got = min(BLOCK_STEPS - self.row, take - filled)
+            for rng, a in zip(self.rngs, out):
+                rng.standard_normal(out=a[filled : filled + got])
+            filled += got
+            self.row += got
+            if self.row == BLOCK_STEPS:
+                self.block, self.row, self.rngs = self.block + 1, 0, []
+        for a in out:
+            a *= np.sqrt(p.dt)
+        return out[0], out[1] if self.with_vector else None
+
+
+def step_bytes(n: int, with_vector: bool) -> int:
+    """Bytes of one step's increments: dB, plus dW when the path has it."""
+    return (n * n + (n if with_vector else 0)) * 8
 
 
 def scalar_block(seed: int, stream: int, block: int, dt: float) -> np.ndarray:
@@ -120,8 +151,7 @@ class NoisePath:
     # -- storage accounting -------------------------------------------------
 
     def nbytes(self) -> int:
-        per_step = self.n * self.n * 8 + (self.n * 8 if self.with_vector else 0)
-        return self.steps * per_step
+        return self.steps * step_bytes(self.n, self.with_vector)
 
     # -- increment access ---------------------------------------------------
 
@@ -129,42 +159,27 @@ class NoisePath:
         """Yield consecutive ``(dB, dW)`` chunks of at most ``chunk`` steps.
 
         ``dW`` is None when the path carries no vector increments.  Chunks
-        are regenerated from the key; nothing is cached.
+        are drawn from the key as they are requested and nothing is cached;
+        a suspended reader holds no chunk.
         """
-        sqrt_dt = np.sqrt(self.dt)
-        pos = 0
-        while pos < self.steps:
-            take = min(chunk, self.steps - pos)
-            db = np.empty((take, self.n, self.n))
-            dw = np.empty((take, self.n)) if self.with_vector else None
-            filled = 0
-            while filled < take:
-                abs_index = self.offset + pos + filled
-                j, r = divmod(abs_index, BLOCK_STEPS)
-                got = min(BLOCK_STEPS - r, take - filled)
-                bdb, bdw = _matrix_vector_block(self.seed, self.stream, j, self.n, sqrt_dt)
-                db[filled : filled + got] = bdb[r : r + got]
-                if dw is not None:
-                    dw[filled : filled + got] = bdw[r : r + got]
-                filled += got
-            yield db, dw
-            pos += take
+        if chunk < 1:
+            raise ValueError("chunk must be >= 1")
+        reader = _Reader(self, self.offset, self.with_vector)
+        for pos in range(0, self.steps, chunk):
+            yield reader.read(min(chunk, self.steps - pos))
 
-    def matrix_increment(self, k: int) -> np.ndarray:
+    def _increment(self, k: int, with_vector: bool):
         if not 0 <= k < self.steps:
             raise IndexError(f"step {k} out of range [0, {self.steps})")
-        j, r = divmod(self.offset + k, BLOCK_STEPS)
-        db, _ = _matrix_vector_block(self.seed, self.stream, j, self.n, np.sqrt(self.dt))
-        return db[r]
+        return _Reader(self, self.offset + k, with_vector).read(1)
+
+    def matrix_increment(self, k: int) -> np.ndarray:
+        return self._increment(k, False)[0][0]
 
     def vector_increment(self, k: int) -> np.ndarray:
         if not self.with_vector:
             raise ValueError("path was generated without vector increments")
-        if not 0 <= k < self.steps:
-            raise IndexError(f"step {k} out of range [0, {self.steps})")
-        j, r = divmod(self.offset + k, BLOCK_STEPS)
-        _, dw = _matrix_vector_block(self.seed, self.stream, j, self.n, np.sqrt(self.dt))
-        return dw[r]
+        return self._increment(k, True)[1][0]
 
     def _materialize(self, mem_cap: int = DEFAULT_MEM_CAP):
         if self._matrix is not None:
@@ -174,16 +189,7 @@ class NoisePath:
                 f"materializing {self.steps} steps of {self.n}x{self.n} increments "
                 f"needs {self.nbytes()} bytes (cap {mem_cap}); iterate blocks() instead"
             )
-        mats = np.empty((self.steps, self.n, self.n))
-        vecs = np.empty((self.steps, self.n)) if self.with_vector else None
-        pos = 0
-        for db, dw in self.blocks():
-            mats[pos : pos + len(db)] = db
-            if vecs is not None:
-                vecs[pos : pos + len(db)] = dw
-            pos += len(db)
-        self._matrix = mats
-        self._vector = vecs
+        self._matrix, self._vector = _Reader(self, self.offset, self.with_vector).read(self.steps)
 
     @property
     def matrix_increments(self) -> np.ndarray:

@@ -224,6 +224,46 @@ class TestBatchFinals:
             record = np.stack([member.states for member in ens.members], axis=1)
             assert np.array_equal(snaps[:, r], record[[1024, 1025, 1536]])
 
+    @pytest.mark.parametrize("sigma_w", [0.0, 0.5])
+    @pytest.mark.parametrize("chunk_bytes", [8, 2 * 64 * 72])
+    def test_narrow_slices_match_single_runs_bit_exact(self, chunk_bytes, sigma_w):
+        # 8 bytes force 1-step slices of one replicate each; 9216 bytes give
+        # two spans (2 + 1 replicates) with 48- or 64-step slices; 1100
+        # steps cross the 1024-step block seam
+        dt = 1e-3
+        initials = [E1, E2]
+        fin = flows.batch_finals(np.stack(initials), 1.1, dt, 43, 3, sigma_w=sigma_w, chunk_bytes=chunk_bytes)
+        for r in range(3):
+            ens = flows.simulate_coupled(initials, 1.1, dt, 43, sigma_w=sigma_w, stream=r)
+            assert np.array_equal(fin[r], ens.final_states)
+
+    @pytest.mark.parametrize("replicates, chunk_bytes", [(-1, 1 << 20), (3, 0), (3, -8)])
+    def test_invalid_replicates_or_chunk_bytes_rejected(self, replicates, chunk_bytes):
+        with pytest.raises(ValueError):
+            flows.batch_finals(E1[None, :], 0.1, 1e-2, 81, replicates, chunk_bytes=chunk_bytes)
+
+    @pytest.mark.parametrize("replicates, steps, count", [(100_000, 10, 18), (2000, 300, 3), (7, 1100, 1)])
+    def test_spans_cover_replicates_within_chunk_bytes(self, replicates, steps, count):
+        # slices hold at least min(steps, 64) steps; a 10-step run gets
+        # whole-run slices, not 64-step ones
+        per_step, chunk_bytes = 72, 1 << 22
+        spans = flows._spans(replicates, steps, per_step, chunk_bytes)
+        assert len(spans) == count
+        assert [lo for lo, _, _ in spans] == [0] + [hi for _, hi, _ in spans[:-1]]
+        assert spans[-1][1] == replicates
+        for lo, hi, size in spans:
+            assert (hi - lo) * size * per_step <= chunk_bytes
+            assert size >= min(steps, flows._MIN_SLICE)
+
+    def test_checkpoints_below_one_step_round_up(self):
+        # t = 0, dt/2 and dt map to steps 0, 1 and 1 by the step-count rule
+        dt = 1e-2
+        snap = flows.batch_finals(E1[None, :], 0.1, dt, 80, 2, checkpoints=[0.0, dt / 2, dt])
+        single = flows.simulate_rqf(E1, 0.1, dt, 80, stream=1)
+        assert np.array_equal(snap[0, 1, 0], single.states[0])
+        assert np.array_equal(snap[1, 1, 0], single.states[1])
+        assert np.array_equal(snap[2, 1, 0], single.states[1])
+
     def test_matches_single_run_bit_exact(self):
         fin = flows.batch_finals(E1[None, :], 0.5, 1e-3, 77, 5)
         for r in range(5):
@@ -282,6 +322,13 @@ class TestSimulatePhase:
         phase_angles = flows.phase_finals(phi0, 1.0, 1e-3, 4500, reps)
         stat, _ = ks_two_sample(sphere_angles, phase_angles)
         assert stat < ks_critical_value(reps, reps, 0.01)
+
+    def test_phase_finals_spans_match_one_span(self, monkeypatch):
+        # 96 bytes of dB per slice: one replicate per span, one step per slice
+        one = flows.phase_finals(0.3, 0.05, 1e-3, 94, 5)
+        monkeypatch.setattr(flows, "_PHASE_CHUNK_BYTES", 96)
+        narrow = flows.phase_finals(0.3, 0.05, 1e-3, 94, 5)
+        assert np.array_equal(one, narrow)
 
     def test_phase_finals_matches_single(self):
         finals = flows.phase_finals(0.3, 0.5, 1e-3, 93, 4)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from rqf import noise
 from rqf.errors import ResourceCapError
 from rqf.noise import (
+    BLOCK_STEPS,
     ArrayPath,
     NoisePath,
     generate_path,
@@ -60,6 +62,54 @@ class TestGeneratePath:
         dw = np.concatenate([w for _, w in p.blocks(chunk=700)])
         assert np.array_equal(db, p.matrix_increments)
         assert np.array_equal(dw, p.vector_increments)
+
+
+def _whole_block_reference(path):
+    # every block drawn whole from its keyed generator, matrix rows first,
+    # then vector rows, and cut to the steps the path covers
+    first, last = path.offset // BLOCK_STEPS, (path.offset + path.steps - 1) // BLOCK_STEPS
+    db, dw = [], []
+    for j in range(first, last + 1):
+        rng = noise._block_generator(path.seed, path.stream, j, noise._MATRIX_DOMAIN)
+        db.append(rng.standard_normal((BLOCK_STEPS, path.n, path.n)))
+        dw.append(rng.standard_normal((BLOCK_STEPS, path.n)))
+    lo = path.offset - first * BLOCK_STEPS
+    cut = slice(lo, lo + path.steps)
+    sqrt_dt = np.sqrt(path.dt)
+    return np.concatenate(db)[cut] * sqrt_dt, np.concatenate(dw)[cut] * sqrt_dt
+
+
+class TestStreamingReader:
+    @pytest.mark.parametrize("with_vector", [False, True])
+    @pytest.mark.parametrize("offset", [0, 5, 1023, 1024])
+    @pytest.mark.parametrize("chunk", [1, 7, 1024, 1500])
+    def test_blocks_equal_whole_block_draws(self, chunk, offset, with_vector):
+        path = shift_path(NoisePath(31, 3, 0.01, 2600, with_vector, stream=6), offset)
+        ref_db, ref_dw = _whole_block_reference(path)
+        chunks = list(path.blocks(chunk))
+        assert [len(db) for db, _ in chunks] == [min(chunk, path.steps - p) for p in range(0, path.steps, chunk)]
+        assert np.array_equal(np.concatenate([db for db, _ in chunks]), ref_db)
+        if with_vector:
+            assert np.array_equal(np.concatenate([dw for _, dw in chunks]), ref_dw)
+        else:
+            assert all(dw is None for _, dw in chunks)
+
+    @pytest.mark.parametrize("offset", [0, 5, 1023, 1024])
+    def test_single_increments_equal_whole_block_draws(self, offset):
+        path = shift_path(NoisePath(32, 3, 0.01, 2600, True, stream=2), offset)
+        ref_db, ref_dw = _whole_block_reference(path)
+        for k in (0, 1, 1018, 1019, 1023, 1024, path.steps - 1):
+            assert np.array_equal(path.matrix_increment(k), ref_db[k])
+            assert np.array_equal(path.vector_increment(k), ref_dw[k])
+
+    def test_invalid_chunk_and_index(self):
+        path = NoisePath(33, 2, 0.1, 10)
+        with pytest.raises(ValueError):
+            next(path.blocks(0))
+        with pytest.raises(IndexError):
+            path.matrix_increment(10)
+        with pytest.raises(ValueError):
+            path.vector_increment(0)
 
 
 class TestSubstreams:
