@@ -5,6 +5,10 @@ top-level seed/output scalars), executes one named experiment, and writes
 CSV/JSON/SVG artifacts plus a manifest with a content hash per output.
 Identical configs reproduce identical content hashes.
 
+Tables are written column by column (``_csv``).  ``simulate`` steps all
+replicates in one ``batch_finals`` run and ``pullback`` simulates its grid
+once, writing the bytes ``simulate_rqf`` and ``pullback_run`` give.
+
 Exit codes: 0 success, 2 config error, 3 numerical error, 4 resource cap.
 """
 
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import __version__, diagnostics, flows, integrators, noise, zprocess
 from .errors import ConfigError, NumericalError, ResourceCapError
-from .geometry import unit_vector
+from .geometry import random_unit_vector, unit_vector
 from . import _svg
 
 EXPERIMENTS = (
@@ -171,11 +175,28 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _columns(col) -> list[list[str]]:
+    # a numpy column is formatted by dtype (a 2-D block gives one column per
+    # block column); any other sequence goes through ``_cell`` value by value
+    if not isinstance(col, np.ndarray):
+        return [[_cell(v) for v in col]]
+    if col.dtype.kind == "b":
+        col = col.astype(np.int8)
+    fmt = repr if col.dtype.kind == "f" else str
+    return [list(map(fmt, c)) for c in (col.T.tolist() if col.ndim == 2 else [col.tolist()])]
+
+
+_CSV_ROWS = 1024  # rows formatted at a time, which bounds the cells in flight
+
+
+def _csv(header: list[str], *columns) -> str:
+    """CSV text of equal-length ``columns``: floats by ``repr``, ints and bools as integers."""
+    parts = [",".join(header)]
+    for lo in range(0, len(columns[0]), _CSV_ROWS):
+        cells = [c for col in columns for c in _columns(col[lo:lo + _CSV_ROWS])]
+        parts.append("\n".join(map(",".join, zip(*cells))))
+    parts.append("")  # the closing newline, without copying the text once more
+    return "\n".join(parts)
 
 
 def _json(obj) -> str:
@@ -183,11 +204,14 @@ def _json(obj) -> str:
 
 
 def _default_x0(cfg: RunConfig) -> np.ndarray:
-    if cfg.x0 is not None:
-        return unit_vector(cfg.x0)
-    e1 = np.zeros(cfg.n)
-    e1[0] = 1.0
-    return unit_vector(e1)
+    return unit_vector(np.eye(cfg.n)[0] if cfg.x0 is None else cfg.x0)
+
+
+def _trajectory_csv(times, paths) -> str:
+    # ``paths`` (members, len(times), n) as member-major rows t, member_id, x_0..x_{n-1}
+    count, rows, n = paths.shape
+    return _csv(["t", "member_id", *[f"x_{i}" for i in range(n)]],
+                np.tile(times, count), np.repeat(np.arange(count), rows), paths.reshape(-1, n))
 
 
 # -- experiments ----------------------------------------------------------------
@@ -195,28 +219,23 @@ def _default_x0(cfg: RunConfig) -> np.ndarray:
 
 def _exp_simulate(cfg: RunConfig) -> dict:
     x0 = _default_x0(cfg)
-    rows = []
-    finals = []
-    svg_series = None
-    for r in range(cfg.seed_count):
-        traj = flows.simulate_rqf(x0, cfg.T, cfg.dt, cfg.seed, sign=cfg.sign, stream=r)
-        for t, state in zip(traj.times, traj.states):
-            rows.append([t, r, *state])
-        finals.append(float(traj.final @ x0))
-        if svg_series is None:
-            svg_series = [(traj.times, traj.states[:, i]) for i in range(cfg.n)]
     steps = flows._step_count(cfg.T, cfg.dt)
+    times = cfg.dt * np.arange(steps + 1)
+    # replicate r is simulate_rqf(x0, ..., stream=r), which normalises x0 again
+    paths = flows.batch_finals(unit_vector(x0)[None], cfg.T, cfg.dt, cfg.seed, cfg.seed_count,
+                               sign=cfg.sign, checkpoints=times)[:, :, 0].transpose(1, 0, 2)
     out = {
-        "trajectory.csv": _csv(["t", "member_id", *[f"x_{i}" for i in range(cfg.n)]], rows),
+        "trajectory.csv": _trajectory_csv(times, paths),
         "summary.json": _json({
             "seed": cfg.seed,
             "replicates": cfg.seed_count,
-            "mean_final_inner": float(np.mean(finals)),
+            "mean_final_inner": float(np.mean([float(path[-1] @ x0) for path in paths])),
             "noise": noise.NoisePath(cfg.seed, cfg.n, cfg.dt, steps).header(),
         }),
     }
     if cfg.svg:
-        out["trajectory.svg"] = _svg.line_chart(svg_series, title="state coordinates vs t")
+        out["trajectory.svg"] = _svg.line_chart([(times, paths[0, :, i]) for i in range(cfg.n)],
+                                                title="state coordinates vs t")
     return out
 
 
@@ -224,22 +243,16 @@ def _exp_coupled(cfg: RunConfig) -> dict:
     initials = flows.sphere_grid(cfg.members, cfg.n, cfg.seed)
     ens = flows.simulate_coupled(initials, cfg.T, cfg.dt, cfg.seed,
                                  sigma_q=cfg.sigma_q, sigma_w=cfg.sigma_w, sign=cfg.sign)
-    rows = []
-    for mid, member in enumerate(ens.members):
-        for t, state in zip(member.times, member.states):
-            rows.append([t, mid, *state])
-    times = ens.members[0].times
-    z = np.einsum("ti,ti->t", ens.members[0].states, ens.members[1].states) if cfg.members >= 2 \
-        else np.ones_like(times)
-    final_states = ens.final_states
+    times, paths = ens.members[0].times, np.stack([member.states for member in ens.members])
+    z = np.einsum("ti,ti->t", paths[0], paths[1]) if cfg.members >= 2 else np.ones_like(times)
     out = {
-        "trajectory.csv": _csv(["t", "member_id", *[f"x_{i}" for i in range(cfg.n)]], rows),
-        "z_history.csv": _csv(["t", "z"], zip(times, z)),
+        "trajectory.csv": _trajectory_csv(times, paths),
+        "z_history.csv": _csv(["t", "z"], times, z),
         "summary.json": _json({
             "seed": cfg.seed,
             "members": cfg.members,
             "final_z": float(z[-1]),
-            "final_sync_metric": float(diagnostics.sync_metric(final_states[0], final_states[1]))
+            "final_sync_metric": float(diagnostics.sync_metric(paths[0, -1], paths[1, -1]))
             if cfg.members >= 2 else 0.0,
         }),
     }
@@ -250,39 +263,31 @@ def _exp_coupled(cfg: RunConfig) -> dict:
 
 def _exp_pullback(cfg: RunConfig) -> dict:
     grid = flows.sphere_grid(cfg.grid_points, cfg.n, cfg.seed)
-    res = flows.pullback_run(grid, cfg.T, cfg.dt, cfg.seed, diameter_tol=cfg.diameter_tol)
-
-    # contraction history: worst cluster diameter at a handful of times
-    # (replicate 0 of batch_finals consumes the same stream-0 noise)
+    # one stream-0 run: the final states are pullback_run's (each point normalised), the
+    # history follows the grid as given; they differ in the last bits, so both are members
+    g = cfg.grid_points
     times = [cfg.T * k / 24.0 for k in range(25)]
-    snaps = flows.batch_finals(grid, cfg.T, cfg.dt, cfg.seed, 1, checkpoints=times)
-    diam_rows = []
-    for t, snap in zip(times, snaps[:, 0]):
-        sm = diagnostics.attractor_detect(snap, diameter_tol=4.0)
-        diam_rows.append([t, max(sm.diameters)])
+    members = np.concatenate([grid, [unit_vector(x) for x in grid]])
+    snaps = flows.batch_finals(members, cfg.T, cfg.dt, cfg.seed, 1, checkpoints=times)[:, 0]
+    final = snaps[-1, g:]
+    summary = diagnostics.attractor_detect(final, cfg.diameter_tol)
+    # contraction history: worst cluster diameter at a handful of times
+    diameters = [max(diagnostics.attractor_detect(snap[:g], diameter_tol=4.0).diameters) for snap in snaps]
 
-    rows = [[i, *state] for i, state in enumerate(res.final_states)]
     out = {
-        "final_states.csv": _csv(["member_id", *[f"x_{i}" for i in range(cfg.n)]], rows),
-        "diameters.csv": _csv(["t", "max_cluster_diameter"], diam_rows),
+        "final_states.csv": _csv(["member_id", *[f"x_{i}" for i in range(cfg.n)]], np.arange(g), final),
+        "diameters.csv": _csv(["t", "max_cluster_diameter"], times, diameters),
         "summary.json": _json({
             "seed": cfg.seed,
             "grid_points": cfg.grid_points,
-            "clusters": res.summary.as_dict(),
+            "clusters": summary.as_dict(),
         }),
     }
     if cfg.svg:
-        groups = None
-        if res.summary.k == 2:
-            pole = res.summary.poles[0]
-            groups = (res.final_states @ pole < 0).astype(int)
-        out["scatter.svg"] = _svg.scatter_chart(
-            res.final_states[:, :2], title="final states (first two coordinates)", groups=groups
-        )
-        out["diameters.svg"] = _svg.line_chart(
-            [([r[0] for r in diam_rows], [r[1] for r in diam_rows])],
-            title="worst cluster diameter vs t",
-        )
+        groups = (final @ summary.poles[0] < 0).astype(int) if summary.k == 2 else None
+        out["scatter.svg"] = _svg.scatter_chart(final[:, :2], title="final states (first two coordinates)",
+                                                groups=groups)
+        out["diameters.svg"] = _svg.line_chart([(times, diameters)], title="worst cluster diameter vs t")
     return out
 
 
@@ -292,16 +297,13 @@ _Z_TABLE = (-0.9, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 0.9)
 def _exp_zprocess(cfg: RunConfig) -> dict:
     z0s = sorted(set(_Z_TABLE) | {float(cfg.z0)})
     table = zprocess.simulate_z_finals(np.array(z0s), cfg.T, cfg.dt, cfg.seed, cfg.seed_count)
-    rows = []
-    for z0, finals in zip(z0s, table):
-        p_cf = zprocess.hit_up_probability(z0)
-        p_mc = float(np.mean(finals > 0.999))
-        stderr = float(np.sqrt(max(p_mc * (1 - p_mc), 1e-12) / cfg.seed_count))
-        rows.append([z0, p_cf, p_mc, stderr])
+    p_cf = [zprocess.hit_up_probability(z0) for z0 in z0s]
+    p_mc = np.mean(table > 0.999, axis=1)
+    stderr = np.sqrt(np.maximum(p_mc * (1 - p_mc), 1e-12) / cfg.seed_count)
     sample = zprocess.simulate_z(cfg.z0, cfg.T, cfg.dt, cfg.seed)
     out = {
-        "hitting.csv": _csv(["z0", "p_closed_form", "p_monte_carlo", "stderr"], rows),
-        "z_path.csv": _csv(["t", "z"], zip(sample.times, sample.values)),
+        "hitting.csv": _csv(["z0", "p_closed_form", "p_monte_carlo", "stderr"], z0s, p_cf, p_mc, stderr),
+        "z_path.csv": _csv(["t", "z"], sample.times, sample.values),
         "summary.json": _json({
             "seed": cfg.seed,
             "z0": cfg.z0,
@@ -310,9 +312,8 @@ def _exp_zprocess(cfg: RunConfig) -> dict:
         }),
     }
     if cfg.svg:
-        zz = [r[0] for r in rows]
         out["hitting.svg"] = _svg.line_chart(
-            [(zz, [r[1] for r in rows]), (zz, [r[2] for r in rows])],
+            [(z0s, p_cf), (z0s, p_mc)],
             title="boundary hit probability: closed form vs Monte Carlo",
         )
     return out
@@ -322,7 +323,7 @@ def _exp_fokker_planck(cfg: RunConfig) -> dict:
     p0 = zprocess.DensityGrid.delta(cfg.z0, cfg.fp_cells)
     evolved = zprocess.fokker_planck_evolve(p0, cfg.T)
     out = {
-        "density.csv": _csv(["z_center", "mass"], zip(evolved.centers, evolved.masses)),
+        "density.csv": _csv(["z_center", "mass"], evolved.centers, evolved.masses),
         "summary.json": _json({
             "seed": cfg.seed,
             "z0": cfg.z0,
@@ -352,27 +353,25 @@ def _exp_lyapunov(cfg: RunConfig) -> dict:
 
 def _exp_dqf(cfg: RunConfig) -> dict:
     if cfg.matrix is not None:
-        m = np.asarray(cfg.matrix, dtype=float)
-        if m.shape != (cfg.n, cfg.n):
-            raise ConfigError(f"matrix shape {m.shape} does not match n={cfg.n}")
+        g = np.asarray(cfg.matrix, dtype=float)
+        if g.shape != (cfg.n, cfg.n):
+            raise ConfigError(f"matrix shape {g.shape} does not match n={cfg.n}")
     else:
         rng = np.random.Generator(np.random.Philox(key=int(cfg.seed) & 0xFFFFFFFFFFFFFFFF))
         g = rng.standard_normal((cfg.n, cfg.n))
-        m = (g + g.T) / 2.0
+    m = (g + g.T) / 2.0  # a config matrix is symmetric to allclose only; both flows use this part
     rng2 = np.random.Generator(np.random.Philox(key=(int(cfg.seed) & 0xFFFFFFFFFFFFFFFF) | (1 << 64)))
-    from .geometry import random_unit_vector
-
     x0 = random_unit_vector(cfg.n, rng2)
     sample_times = np.linspace(0.0, cfg.T, 201)
     exact = np.stack([integrators.dqf_exact(m, x0, t) for t in sample_times])
 
-    # zero-noise cross-check: the same Heun stepper fed M dt as increments
-    # (ascent orientation, matching the exp(tM) solution)
+    # zero-noise cross-check: the one Heun loop fed M dt as every increment
+    # (ascent orientation, matching the exp(tM) solution; symmetrising the
+    # symmetric M dt is exact). Not simulate_rqf: it would normalise x0 again.
     steps = flows._step_count(cfg.T, cfg.dt)
-    x = x0.copy()
-    for _ in range(steps):
-        x = integrators.heun_step_rqf(x, m * cfg.dt, 1.0).state
-    deviation = float(np.linalg.norm(x - exact[-1]))
+    x = x0[None].copy()
+    flows._advance(x, noise.ArrayPath(cfg.dt, np.broadcast_to(m * cfg.dt, (steps, cfg.n, cfg.n))), 1.0, 0.0)
+    deviation = float(np.linalg.norm(x[0] - exact[-1]))
 
     lam1, top, projector = integrators.dominant_eigenspace(m)
     summary = {
@@ -384,9 +383,8 @@ def _exp_dqf(cfg: RunConfig) -> dict:
         "degenerate_top": bool(top is None),
         "final_residual_off_top_eigenspace": float(np.linalg.norm(exact[-1] - projector @ exact[-1])),
     }
-    rows = [[t, *state] for t, state in zip(sample_times, exact)]
     out = {
-        "trajectory.csv": _csv(["t", *[f"x_{i}" for i in range(cfg.n)]], rows),
+        "trajectory.csv": _csv(["t", *[f"x_{i}" for i in range(cfg.n)]], sample_times, exact),
         "summary.json": _json(summary),
     }
     if cfg.svg:
@@ -398,7 +396,7 @@ def _exp_dqf(cfg: RunConfig) -> dict:
 
 def _exp_bias_scan(cfg: RunConfig) -> dict:
     initials = flows.sphere_grid(max(2, cfg.members), cfg.n, cfg.seed)[:2]
-    rows = []
+    stats = []  # polar, anti-polar, undecided fractions and mean sync metric per ratio
     for ratio in cfg.ratios:
         finals = flows.batch_finals(initials, cfg.T, cfg.dt, cfg.seed, cfg.seed_count,
                                     sigma_q=1.0, sigma_w=float(ratio), chunk_bytes=1 << 22)
@@ -406,12 +404,13 @@ def _exp_bias_scan(cfg: RunConfig) -> dict:
         polar = float(np.mean(inner > 0.995))
         antipolar = float(np.mean(inner < -0.995))
         sync = np.minimum(np.arccos(np.clip(inner, -1, 1)), np.pi - np.arccos(np.clip(inner, -1, 1)))
-        rows.append([ratio, polar, antipolar, 1.0 - polar - antipolar, float(sync.mean())])
+        stats.append([polar, antipolar, 1.0 - polar - antipolar, float(sync.mean())])
+    stats = np.array(stats)
     out = {
         "scan.csv": _csv(
             ["ratio_sigma_w_over_sigma_q", "polar_fraction", "antipolar_fraction",
              "undecided_fraction", "mean_sync_metric"],
-            rows,
+            cfg.ratios, stats,
         ),
         "summary.json": _json({
             "seed": cfg.seed,
@@ -420,9 +419,8 @@ def _exp_bias_scan(cfg: RunConfig) -> dict:
         }),
     }
     if cfg.svg:
-        rat = [r[0] for r in rows]
         out["scan.svg"] = _svg.line_chart(
-            [(rat, [r[1] for r in rows]), (rat, [r[2] for r in rows])],
+            [(cfg.ratios, stats[:, 0]), (cfg.ratios, stats[:, 1])],
             title="cluster-count statistics vs bias ratio",
         )
     return out

@@ -318,7 +318,8 @@ def batch_finals(
     accepted and ignored: the batched step holds the GIL, so a second
     thread only slows it.
 
-    ``checkpoints`` (times in [0, T]) switches the return value to the
+    ``checkpoints`` (times in [0, T], rounded onto the step grid like T
+    itself; others raise ``ValueError``) switches the return value to the
     states at those times, shape (len(checkpoints), R, m, n).
     """
     arr = np.atleast_2d(np.asarray(initials, dtype=float))
@@ -326,10 +327,9 @@ def batch_finals(
     steps = _step_count(T, dt)
     with_vector = sigma_w != 0.0
     spans = _spans(replicates, steps, noise.step_bytes(n, with_vector), chunk_bytes)
-    if checkpoints is None:
-        cp_steps = [steps]
-    else:
-        cp_steps = [min(steps, max(0, _steps_to(t, dt))) for t in checkpoints]
+    cp_steps = [steps] if checkpoints is None else [_steps_to(t, dt) for t in checkpoints]
+    if max(cp_steps, default=0) > steps or checkpoints is not None and min(checkpoints, default=0) < 0:
+        raise ValueError(f"checkpoints must lie in [0, T={T}]")
     out = np.empty((len(cp_steps), replicates, m, n))
     at: dict[int, list[int]] = {}
     for i, k in enumerate(cp_steps):

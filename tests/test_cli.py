@@ -1,7 +1,11 @@
 import hashlib
 import json
+import math
 
-from rqf import cli
+import numpy as np
+
+from rqf import cli, diagnostics, flows, integrators
+from rqf.geometry import random_unit_vector
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -217,3 +221,109 @@ class TestExperimentOutputs:
         cli.run(cli.RunConfig(**doc))
         report = json.loads((tmp_path / "runs" / "uniformity-10" / "report.json").read_text())
         assert "ks_pvalues" in report and len(report["ks_pvalues"]) == 3
+
+
+def _row(*cells):
+    # reference formatting, written out independently of cli._csv
+    return ",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in cells)
+
+
+class TestCsvWriter:
+    def test_float_columns_use_repr(self):
+        col = np.array([-0.0, 5e-324, math.inf, -math.inf, math.nan, 0.1, 1e300])
+        text = cli._csv(["x"], col)
+        assert text == "x\n-0.0\n5e-324\ninf\n-inf\nnan\n0.1\n1e+300\n"
+
+    def test_int_and_bool_columns_print_integers(self):
+        text = cli._csv(["i", "u", "b"], np.array([-3, 0, 7]), np.array([1, 2, 3], dtype=np.uint8),
+                        np.array([True, False, True]))
+        assert text == "i,u,b\n-3,1,1\n0,2,0\n7,3,1\n"
+
+    def test_block_next_to_columns(self):
+        block = np.array([[0.5, -1.0], [2.0, 0.25]])
+        text = cli._csv(["t", "id", "x_0", "x_1", "z"], np.array([0.0, 0.1]), np.arange(2), block,
+                        [1.5, 2.5])
+        assert text == "t,id,x_0,x_1,z\n0.0,0,0.5,-1.0,1.5\n0.1,1,2.0,0.25,2.5\n"
+
+    def test_list_column_keeps_ints(self):
+        assert cli._csv(["r", "p"], [0, 1.0, 2], np.array([0.5, 1.0, 0.0])) == "r,p\n0,0.5\n1.0,1.0\n2,0.0\n"
+        assert cli._csv(["r"], [True, np.int64(4), np.float64(0.5)]) == "r\n1\n4\n0.5\n"
+
+    def test_no_rows(self):
+        assert cli._csv(["t", "x_0"], np.empty(0), np.empty((0, 1))) == "t,x_0\n"
+
+    def test_bias_scan_int_ratios_print_as_ints(self, tmp_path):
+        doc = {"experiment": "bias-scan", "n": 3, "T": 0.1, "dt": 1e-2, "seed": 9,
+               "seed_count": 4, "ratios": [0, 1], "out_dir": str(tmp_path / "runs")}
+        cli.run(cli.RunConfig(**doc))
+        lines = (tmp_path / "runs" / "bias-scan-9" / "scan.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+
+
+class TestRoutedArtifacts:
+    """The CLI's batched runs write the bytes the public single-run functions give."""
+
+    def test_simulate_matches_single_runs(self, tmp_path):
+        # 1100 steps cross the 1024-step noise block; x0 off the sphere is
+        # normalised by the config and again by simulate_rqf
+        doc = {"experiment": "simulate", "n": 3, "T": 1.1, "dt": 1e-3, "seed": 12,
+               "seed_count": 3, "x0": [1.0, 0.3, -1.0], "out_dir": str(tmp_path / "runs")}
+        cli.run(cli.RunConfig(**doc))
+        run_dir = tmp_path / "runs" / "simulate-12"
+        x0 = cli._default_x0(cli.RunConfig(**doc))
+        lines, finals = ["t,member_id,x_0,x_1,x_2"], []
+        for r in range(3):
+            traj = flows.simulate_rqf(x0, 1.1, 1e-3, 12, stream=r)
+            lines += [_row(float(t), r, *state.tolist()) for t, state in zip(traj.times, traj.states)]
+            finals.append(float(traj.final @ x0))
+        assert (run_dir / "trajectory.csv").read_text() == "\n".join(lines) + "\n"
+        summary = json.loads((run_dir / "summary.json").read_text())
+        assert summary["mean_final_inner"] == float(np.mean(finals))
+
+    def test_pullback_matches_pullback_run(self, tmp_path):
+        # at n = 4 the grid as drawn and its normalised copy stay apart for
+        # the whole run, so each artifact shows which one it follows
+        doc = {"experiment": "pullback", "n": 4, "T": 0.5, "dt": 1e-2, "seed": 13,
+               "grid_points": 30, "diameter_tol": 0.5, "out_dir": str(tmp_path / "runs")}
+        cli.run(cli.RunConfig(**doc))
+        run_dir = tmp_path / "runs" / "pullback-13"
+        grid = flows.sphere_grid(30, 4, 13)
+        res = flows.pullback_run(grid, 0.5, 1e-2, 13, diameter_tol=0.5)
+        lines = ["member_id,x_0,x_1,x_2,x_3"] + [_row(i, *s.tolist()) for i, s in enumerate(res.final_states)]
+        assert (run_dir / "final_states.csv").read_text() == "\n".join(lines) + "\n"
+        summary = json.loads((run_dir / "summary.json").read_text())
+        assert summary["clusters"] == json.loads(json.dumps(res.summary.as_dict()))
+        times = [0.5 * k / 24.0 for k in range(25)]
+        snaps = flows.batch_finals(grid, 0.5, 1e-2, 13, 1, checkpoints=times)[:, 0]
+        diam = [max(diagnostics.attractor_detect(s, diameter_tol=4.0).diameters) for s in snaps]
+        lines = ["t,max_cluster_diameter"] + [_row(t, float(d)) for t, d in zip(times, diam)]
+        assert (run_dir / "diameters.csv").read_text() == "\n".join(lines) + "\n"
+
+    def test_dqf_cross_check_is_the_single_step_loop(self, tmp_path):
+        # seed 10 draws an x0 that a second normalisation would move in its last bits
+        doc = {"experiment": "dqf", "n": 4, "T": 0.05, "dt": 1e-3, "seed": 10, "svg": False,
+               "out_dir": str(tmp_path / "runs")}
+        cli.run(cli.RunConfig(**doc))
+        rng = np.random.Generator(np.random.Philox(key=10 | (1 << 64)))
+        g = np.random.Generator(np.random.Philox(key=10)).standard_normal((4, 4))
+        m = (g + g.T) / 2.0
+        x0 = random_unit_vector(4, rng)
+        x = x0.copy()
+        for _ in range(50):
+            x = integrators.heun_step_rqf(x, m * 1e-3, 1.0).state
+        expected = float(np.linalg.norm(x - integrators.dqf_exact(m, x0, 0.05)))
+        summary = json.loads((tmp_path / "runs" / "dqf-10" / "summary.json").read_text())
+        assert summary["heun_vs_exact"] == expected
+
+    def test_dqf_near_symmetric_matrix_runs_its_symmetric_part(self, tmp_path):
+        # validation accepts symmetry to allclose; the exact flow and the Heun
+        # cross-check must then describe the same (symmetric) matrix
+        near = [[1.0, 0.5, 0.0], [0.5 + 1e-9, 2.0, 0.1], [0.0, 0.1, -1.0]]
+        sym = (np.array(near) + np.array(near).T) / 2.0
+        outputs = []
+        for name, matrix in (("near", near), ("sym", sym.tolist())):
+            doc = {"experiment": "dqf", "n": 3, "T": 0.5, "dt": 1e-3, "seed": 3, "matrix": matrix,
+                   "out_dir": str(tmp_path / name)}
+            assert cli.validate_document(doc) == []
+            outputs.append(cli.run(cli.RunConfig(**doc))["outputs"])
+        assert outputs[0] == outputs[1]

@@ -287,6 +287,17 @@ class TestBatchFinals:
         snap = flows.batch_finals(E1[None, :], 0.3, 1e-3, 79, 3, checkpoints=[0.1, 0.1, 0.3])
         assert np.array_equal(snap[0], snap[1])
 
+    @pytest.mark.parametrize("bad", [-1e-12, -0.05, 0.3 + 1e-3, 1.0])
+    def test_checkpoints_outside_horizon_rejected(self, bad):
+        with pytest.raises(ValueError, match="checkpoints"):
+            flows.batch_finals(E1[None, :], 0.3, 1e-3, 79, 2, checkpoints=[0.0, bad])
+
+    def test_checkpoints_on_the_step_grid_accepted(self):
+        # T * 24 / 24 and 300 * dt round onto the final step
+        T, dt = 0.3, 1e-3
+        snap = flows.batch_finals(E1[None, :], T, dt, 79, 2, checkpoints=[T * 24 / 24.0, 300 * dt, T])
+        assert np.array_equal(snap[0], snap[2]) and np.array_equal(snap[1], snap[2])
+
     def test_checkpoints_final_matches(self):
         snap = flows.batch_finals(E1[None, :], 0.3, 1e-3, 79, 3, checkpoints=[0.0, 0.1, 0.3])
         fin = flows.batch_finals(E1[None, :], 0.3, 1e-3, 79, 3)
