@@ -257,21 +257,18 @@ class LyapunovEstimate:
         }
 
 
-def _check_separation(ratio: float):
+def _log_growth(distance: float, delta0: float) -> float:
+    ratio = distance / delta0
     if not (1e-8 < ratio < 1e8):
         raise NumericalError(
             f"separation ratio {ratio:.3e} left the safe range; use a smaller renorm_interval"
         )
+    return math.log(ratio)
 
 
-def _benettin_phase(T, dt, renorm_interval, seed, delta0, spi):
-    intervals = int(T / (spi * dt) + 1e-9)
-    steps = intervals * spi
-    path = noise.NoisePath(seed, 2, dt, steps)
+def _benettin_phase(path, logs, spi, delta0):
     phi1 = 0.1
     phi2 = phi1 + delta0
-    logs = np.empty(intervals)
-    idx = 0
     k = 0
     for db, _ in path.blocks():
         du_arr, dv_arr = flows._phase_combos(db)
@@ -281,23 +278,14 @@ def _benettin_phase(T, dt, renorm_interval, seed, delta0, spi):
             k += 1
             if k % spi == 0:
                 d = math.remainder(phi2 - phi1, 2.0 * math.pi)
-                ratio = abs(d) / delta0
-                _check_separation(ratio)
-                logs[idx] = math.log(ratio)
-                idx += 1
+                logs[k // spi - 1] = _log_growth(abs(d), delta0)
                 phi2 = phi1 + math.copysign(delta0, d if d != 0.0 else 1.0)
-    return logs, steps * dt
 
 
-def _benettin_sphere2(T, dt, renorm_interval, seed, delta0, spi, q_scale):
+def _benettin_sphere2(path, logs, spi, delta0, q_scale):
     # scalar specialization of the n = 2 flow; ~10x faster than array steps
-    intervals = int(T / (spi * dt) + 1e-9)
-    steps = intervals * spi
-    path = noise.NoisePath(seed, 2, dt, steps)
     x1, x2 = 1.0, 0.0
     y1, y2 = _renorm2(x1, x2, x1 + 0.0, x2 + delta0, delta0)
-    logs = np.empty(intervals)
-    idx = 0
     k = 0
 
     def step(c, s, q11, q12, q22):
@@ -328,13 +316,8 @@ def _benettin_sphere2(T, dt, renorm_interval, seed, delta0, spi, q_scale):
             if k % spi == 0:
                 dx = y1 - x1
                 dy = y2 - x2
-                d = math.sqrt(dx * dx + dy * dy)
-                ratio = d / delta0
-                _check_separation(ratio)
-                logs[idx] = math.log(ratio)
-                idx += 1
+                logs[k // spi - 1] = _log_growth(math.sqrt(dx * dx + dy * dy), delta0)
                 y1, y2 = _renorm2(x1, x2, y1, y2, delta0)
-    return logs, steps * dt
 
 
 def _renorm2(x1, x2, y1, y2, delta0):
@@ -349,31 +332,24 @@ def _renorm2(x1, x2, y1, y2, delta0):
     return c1 * inv, c2 * inv
 
 
-def _benettin_sphere(n, T, dt, renorm_interval, seed, delta0, spi, q_scale, w_scale):
+def _benettin_sphere(path, logs, spi, delta0, q_scale, w_scale):
     # reference and companion as one 2-member run; the companion is pulled
     # back to distance delta0 every spi steps
-    intervals = int(T / (spi * dt) + 1e-9)
-    steps = intervals * spi
-    path = noise.NoisePath(seed, n, dt, steps, with_vector=w_scale != 0.0)
-    states = np.zeros((2, n))
+    states = np.zeros((2, path.n))
     states[:, 0] = 1.0
     states[1, 1] = delta0
     states[1] /= np.linalg.norm(states[1])
-    logs = np.empty(intervals)
 
     def renormalize(k, states):
         if k % spi:
             return
         diff = states[1] - states[0]
         d = float(np.linalg.norm(diff))
-        ratio = d / delta0
-        _check_separation(ratio)
-        logs[k // spi - 1] = math.log(ratio)
+        logs[k // spi - 1] = _log_growth(d, delta0)
         y = states[0] + (delta0 / d) * diff
         states[1] = y / np.linalg.norm(y)
 
     flows._advance(states, path, q_scale, w_scale, renormalize)
-    return logs, steps * dt
 
 
 def lyapunov_benettin(
@@ -400,24 +376,24 @@ def lyapunov_benettin(
         raise ValueError("need renorm_interval > dt > 0")
     if T < 2 * renorm_interval:
         raise ValueError("need T >= 2 * renorm_interval")
-    params = dict(params or {})
-    spi = max(1, int(round(renorm_interval / dt)))
-
-    if model == "phase":
-        logs, t_total = _benettin_phase(T, dt, renorm_interval, seed, delta0, spi)
-    elif model == "sphere":
-        n = int(params.get("n", 2))
-        sigma_q = float(params.get("sigma_q", 1.0))
-        sigma_w = float(params.get("sigma_w", 0.0))
-        sign = float(params.get("sign", -1.0))
-        if n == 2 and sigma_w == 0.0:
-            logs, t_total = _benettin_sphere2(T, dt, renorm_interval, seed, delta0, spi, sign * sigma_q)
-        else:
-            logs, t_total = _benettin_sphere(
-                n, T, dt, renorm_interval, seed, delta0, spi, sign * sigma_q, sign * sigma_w
-            )
-    else:
+    if model not in ("phase", "sphere"):
         raise ValueError(f"unknown model {model!r}; expected 'phase' or 'sphere'")
+    params = dict(params or {}) if model == "sphere" else {}
+    n = int(params.get("n", 2))
+    sign = float(params.get("sign", -1.0))
+    q_scale = sign * float(params.get("sigma_q", 1.0))
+    w_scale = sign * float(params.get("sigma_w", 0.0))
+    spi = max(1, int(round(renorm_interval / dt)))
+    intervals = int(T / (spi * dt) + 1e-9)
+    steps = intervals * spi
+    path = noise.NoisePath(seed, n, dt, steps, with_vector=w_scale != 0.0)
+    logs = np.empty(intervals)
+    if model == "phase":
+        _benettin_phase(path, logs, spi, delta0)
+    elif n == 2 and w_scale == 0.0:
+        _benettin_sphere2(path, logs, spi, delta0, q_scale)
+    else:
+        _benettin_sphere(path, logs, spi, delta0, q_scale, w_scale)
 
     interval_t = spi * dt
     rates = logs / interval_t
@@ -432,7 +408,7 @@ def lyapunov_benettin(
     return LyapunovEstimate(
         lambda_=lam,
         stderr=stderr,
-        t_total=float(t_total),
+        t_total=float(steps * dt),
         renorm_interval=interval_t,
         intervals=len(rates),
     )

@@ -237,10 +237,10 @@ def simulate_coupled(
 _MIN_SLICE = 64
 
 
-def _spans(replicates: int, steps: int, per_step: int, chunk_bytes: int):
+def _spans(replicates: int, steps: int, per_step: int, chunk_bytes: int, min_slice: int = _MIN_SLICE):
     """``(lo, hi, size)`` per span: replicates lo..hi step together on slices of
     ``size`` steps and at most ``chunk_bytes``, one span unless its slices would
-    be shorter than ``min(steps, _MIN_SLICE)``; the spans are then equal."""
+    be shorter than ``min(steps, min_slice)``; the spans are then equal."""
     if replicates < 0 or chunk_bytes < 1:
         raise ValueError("replicates must be >= 0 and chunk_bytes >= 1")
     if steps * per_step > noise.DEFAULT_MEM_CAP:
@@ -248,7 +248,7 @@ def _spans(replicates: int, steps: int, per_step: int, chunk_bytes: int):
             f"one replicate of {steps} steps draws {steps * per_step} bytes of increments "
             f"(cap {noise.DEFAULT_MEM_CAP}); shorten the horizon"
         )
-    fit = max(1, chunk_bytes // (per_step * max(1, min(steps, _MIN_SLICE))))
+    fit = max(1, chunk_bytes // (per_step * max(1, min(steps, min_slice))))
     count = max(1, -(-replicates // fit))
     width = max(1, -(-replicates // count))  # equal spans of at most ``fit`` replicates
     size = min(noise.BLOCK_STEPS, max(1, chunk_bytes // (width * per_step)))
@@ -257,25 +257,26 @@ def _spans(replicates: int, steps: int, per_step: int, chunk_bytes: int):
 
 @dataclass(frozen=True)
 class _Replicates:
-    """The (seed, stream + i) noise paths, i < count, read in lockstep.
+    """The (seed, stream + i) keyed paths, i < count, read in lockstep.
 
-    ``blocks()`` yields ``(dB, dW)`` slices of shape (count, size, n, n) and
-    (count, size, n); the last slice may be shorter.  Each replicate's
-    reader draws only the rows it delivers.
+    ``blocks()`` yields ``(dB, dW)`` slices of shape (count, size, *shape)
+    for each of the reader's ``shapes`` (see ``noise._Reader``), dW None
+    for a one-shape path; the last slice may be shorter.  Every replicate's
+    reader draws its rows straight into the stacked slice.
     """
 
     seed: int
     stream: int
     count: int
-    n: int
     dt: float
     steps: int
-    with_vector: bool
     size: int
+    shapes: tuple
+    domain: int = noise._MATRIX_DOMAIN
 
     def blocks(self):
         readers = [
-            noise.NoisePath(self.seed, self.n, self.dt, self.steps, self.with_vector, self.stream + i).blocks(self.size)
+            noise._Reader(self.seed, self.stream + i, 0, self.steps, self.shapes, self.domain)
             for i in range(self.count)
         ]
         for pos in range(0, self.steps, self.size):
@@ -283,13 +284,10 @@ class _Replicates:
             yield self._slice(readers, min(self.size, self.steps - pos))
 
     def _slice(self, readers, take):
-        db = np.empty((self.count, take, self.n, self.n))
-        dw = np.empty((self.count, take, self.n)) if self.with_vector else None
+        outs = [np.empty((self.count, take, *shape)) for shape in self.shapes]
         for i, reader in enumerate(readers):
-            db[i], dw_i = next(reader)
-            if dw is not None:
-                dw[i] = dw_i
-        return db, dw
+            reader.fill([a[i] for a in outs])
+        return noise._scaled(outs, self.dt)
 
 
 def batch_finals(
@@ -308,8 +306,12 @@ def batch_finals(
 ) -> np.ndarray:
     """Final states over independent noise realizations, shape (R, m, n).
 
-    Replicate r is driven by the substream (seed, r) and matches a
-    member-for-member run of ``simulate_coupled(..., stream=r)`` bit-exactly.
+    Replicate r is driven by the substream (seed, r).  ``initials`` are
+    used as given, while ``simulate_coupled`` first passes each through
+    ``geometry.unit_vector``, which can move a unit vector in its last
+    bits; so replicate r matches a member-for-member run of
+    ``simulate_coupled(..., stream=r)`` bit-exactly when every initial is
+    a fixed point of ``unit_vector``, for example ``unit_vector(x)``.
     Replicates are advanced together in spans, one batched Heun step per
     time step and span.  ``chunk_bytes`` bounds the noise slice in flight:
     a slice holds a span's increments for as many steps as fit, at most
@@ -342,7 +344,7 @@ def batch_finals(
 
         states = np.broadcast_to(arr, (hi - lo, m, n)).copy()
         snapshot(0, states)
-        path = _Replicates(seed, lo, hi - lo, n, dt, steps, with_vector, size)
+        path = _Replicates(seed, lo, hi - lo, dt, steps, size, noise._shapes(n, with_vector))
         _advance(states, path, float(sign) * sigma_q, float(sign) * sigma_w, snapshot)
     return out[0] if checkpoints is None else out
 
@@ -410,7 +412,7 @@ def phase_finals(phi0: float, T: float, dt: float, seed: int, replicates: int) -
     finals = np.full(replicates, float(phi0) % TWO_PI)
     for lo, hi, size in _spans(replicates, steps, noise.step_bytes(2, False), _PHASE_CHUNK_BYTES):
         phi = finals[lo:hi]
-        for db, _ in _Replicates(seed, lo, hi - lo, 2, dt, steps, False, size).blocks():
+        for db, _ in _Replicates(seed, lo, hi - lo, dt, steps, size, noise._shapes(2, False)).blocks():
             du, dv = _phase_combos(db)
             for k in range(du.shape[1]):
                 phi = np.mod(_phase_heun(phi, du[:, k], dv[:, k], np.sin, np.cos), TWO_PI)

@@ -111,9 +111,14 @@ def em_step_z(z: float, db: float, dt: float) -> float:
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    return min(1.0, max(-1.0, z + _em_z_increment(z, db, dt)))
+
+
+def _em_z_increment(z, db, dt: float):
+    # drift and noise terms of one Euler-Maruyama step of the z diffusion,
+    # for floats and for arrays; every z stepper adds this to z, then clamps
     one_minus = 1.0 - z * z
-    out = z + 2.0 * z * one_minus * dt + _SQRT2 * one_minus * db
-    return min(1.0, max(-1.0, out))
+    return 2.0 * z * one_minus * dt + _SQRT2 * one_minus * db
 
 
 def dqf_exact(m: np.ndarray, x0: np.ndarray, t: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Seeded Brownian increments driving the sphere flows.
+"""Seeded Brownian increments driving the sphere flows and the z-process.
 
 A path is never stored as the source of truth: every increment is a pure
 function of (seed, stream, step index), produced block-wise from a
@@ -8,7 +8,8 @@ That gives
 * bit-identical regeneration from the same seed,
 * O(1) random access to any step (time-shift views cost nothing),
 * non-overlapping per-trajectory substreams by construction, and
-* streaming reads: ``NoisePath.blocks`` keeps each block's generator alive
+* streaming reads: one reader serves every key domain and fills batched
+  runs' replicate stacks in place; it keeps each block's generator alive
   and draws a block only as far as it reads it, never a whole block ahead.
 
 Matrix increments dB have iid Normal(0, dt) entries; the symmetrized
@@ -63,40 +64,58 @@ def _block_generator(seed: int, stream: int, block: int, domain: int) -> np.rand
 
 
 class _Reader:
-    """Successive ``(dB, dW)`` increments of one keyed path from absolute step ``start``.
+    """Successive draws of one keyed path from absolute step ``start``, for ``steps`` steps.
 
-    A block's Philox generator is created once and kept while the block is
-    read, and only delivered rows are drawn, apart from an offset path's
-    prefix.  A block's vector draws follow its whole matrix draw in the
-    stream, so a second generator is moved past that draw.
+    ``shapes`` holds one step's draw per output: ``((n, n),)`` or ``((n, n), (n,))``
+    (dB, dW) in the matrix domain, ``((),)`` in the scalar one.  A block's
+    output i follows the whole block of every earlier output in the stream,
+    so it has its own generator, moved past those draws.  Generators live
+    until their block or the path is read to its end; only delivered rows
+    are drawn, apart from an offset path's prefix.
     """
 
-    def __init__(self, path, start: int, with_vector: bool):
-        self.path, self.with_vector = path, with_vector
+    def __init__(self, seed: int, stream: int, start: int, steps: int, shapes, domain: int = _MATRIX_DOMAIN):
+        self.seed, self.stream, self.domain, self.shapes = seed, stream, domain, shapes
         self.block, self.row = divmod(start, BLOCK_STEPS)
+        self.left = steps
         self.rngs = []
 
-    def read(self, take: int):
-        p, n = self.path, self.path.n
-        out = [np.empty((take, n, n))] + ([np.empty((take, n))] if self.with_vector else [])
-        filled = 0
+    def fill(self, outs):
+        """Draw the next ``len(outs[0])`` steps of standard normals into ``outs``, one array per shape."""
+        take, filled = len(outs[0]), 0
+        self.left -= take
         while filled < take:
             if not self.rngs:
-                self.rngs = [_block_generator(p.seed, p.stream, self.block, _MATRIX_DOMAIN) for _ in out]
-                self.rngs[0].standard_normal((self.row, n, n))
-                if self.with_vector:
-                    self.rngs[1].standard_normal((BLOCK_STEPS, n, n))
-                    self.rngs[1].standard_normal((self.row, n))
+                self.rngs = [_block_generator(self.seed, self.stream, self.block, self.domain) for _ in self.shapes]
+                for i, rng in enumerate(self.rngs):
+                    for shape in self.shapes[:i]:
+                        rng.standard_normal((BLOCK_STEPS, *shape))
+                    rng.standard_normal((self.row, *self.shapes[i]))
             got = min(BLOCK_STEPS - self.row, take - filled)
-            for rng, a in zip(self.rngs, out):
+            for rng, a in zip(self.rngs, outs):
                 rng.standard_normal(out=a[filled : filled + got])
             filled += got
             self.row += got
             if self.row == BLOCK_STEPS:
                 self.block, self.row, self.rngs = self.block + 1, 0, []
-        for a in out:
-            a *= np.sqrt(p.dt)
-        return out[0], out[1] if self.with_vector else None
+        if self.left <= 0:
+            self.rngs = []
+
+    def read(self, take: int, dt: float):
+        outs = [np.empty((take, *shape)) for shape in self.shapes]
+        self.fill(outs)
+        return _scaled(outs, dt)
+
+
+def _scaled(outs, dt: float):
+    """``(dB, dW)`` from standard normal draws, scaled by sqrt(dt) in place; dW is None for one output."""
+    for a in outs:
+        a *= np.sqrt(dt)
+    return outs[0], outs[1] if len(outs) > 1 else None
+
+
+def _shapes(n: int, with_vector: bool):
+    return ((n, n), (n,)) if with_vector else ((n, n),)
 
 
 def step_bytes(n: int, with_vector: bool) -> int:
@@ -106,20 +125,14 @@ def step_bytes(n: int, with_vector: bool) -> int:
 
 def scalar_block(seed: int, stream: int, block: int, dt: float) -> np.ndarray:
     """One block of scalar Brownian increments, Normal(0, dt) each."""
-    rng = _block_generator(seed, stream, block, _SCALAR_DOMAIN)
-    return rng.standard_normal(BLOCK_STEPS) * np.sqrt(dt)
+    return _Reader(seed, stream, block * BLOCK_STEPS, BLOCK_STEPS, ((),), _SCALAR_DOMAIN).read(BLOCK_STEPS, dt)[0]
 
 
 def scalar_increments(seed: int, steps: int, dt: float, stream: int = 0) -> np.ndarray:
     """Materialize ``steps`` scalar Brownian increments."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    out = np.empty(steps)
-    for block in range(0, steps, BLOCK_STEPS):
-        j = block // BLOCK_STEPS
-        take = min(BLOCK_STEPS, steps - block)
-        out[block : block + take] = scalar_block(seed, stream, j, dt)[:take]
-    return out
+    return _Reader(seed, stream, 0, steps, ((),), _SCALAR_DOMAIN).read(steps, dt)[0]
 
 
 @dataclass
@@ -164,14 +177,17 @@ class NoisePath:
         """
         if chunk < 1:
             raise ValueError("chunk must be >= 1")
-        reader = _Reader(self, self.offset, self.with_vector)
+        reader = self._reader(0, self.steps, self.with_vector)
         for pos in range(0, self.steps, chunk):
-            yield reader.read(min(chunk, self.steps - pos))
+            yield reader.read(min(chunk, self.steps - pos), self.dt)
+
+    def _reader(self, k: int, steps: int, with_vector: bool) -> _Reader:
+        return _Reader(self.seed, self.stream, self.offset + k, steps, _shapes(self.n, with_vector))
 
     def _increment(self, k: int, with_vector: bool):
         if not 0 <= k < self.steps:
             raise IndexError(f"step {k} out of range [0, {self.steps})")
-        return _Reader(self, self.offset + k, with_vector).read(1)
+        return self._reader(k, 1, with_vector).read(1, self.dt)
 
     def matrix_increment(self, k: int) -> np.ndarray:
         return self._increment(k, False)[0][0]
@@ -189,7 +205,7 @@ class NoisePath:
                 f"materializing {self.steps} steps of {self.n}x{self.n} increments "
                 f"needs {self.nbytes()} bytes (cap {mem_cap}); iterate blocks() instead"
             )
-        self._matrix, self._vector = _Reader(self, self.offset, self.with_vector).read(self.steps)
+        self._matrix, self._vector = self._reader(0, self.steps, self.with_vector).read(self.steps, self.dt)
 
     @property
     def matrix_increments(self) -> np.ndarray:
@@ -245,6 +261,8 @@ class ArrayPath:
         return self.vector_increments is not None
 
     def blocks(self, chunk: int = BLOCK_STEPS):
+        if chunk < 1:
+            raise ValueError("chunk must be >= 1")
         for pos in range(0, self.steps, chunk):
             db = self.matrix_increments[pos : pos + chunk]
             dw = None

@@ -4,10 +4,11 @@ The process lives on [-1, 1] with drift 2z(1-z^2) and diffusion
 sqrt(2)(1-z^2); its squared diffusion coefficient Sigma(z) = (1-z^2)^2
 matches the quadratic variation of <X_t, Y_t> for a common-noise pair on
 any sphere dimension.  Closed-form side: the polynomial scale function and
-boundary-hitting probabilities.  Numerical side: direct Euler-Maruyama
-simulation (single path, and replicated batches over a whole table of
-starting points on shared noise) and a conservative finite-volume
-discretisation of the associated Fokker-Planck equation
+boundary-hitting probabilities.  Numerical side: Euler-Maruyama simulation
+(single path, and a whole table of starting points on shared noise in the
+replicate loop of ``flows``, each replicate bit-equal to its single path)
+and a conservative finite-volume discretisation of the associated
+Fokker-Planck equation
 
     dp/dt = -d/dz(2z(1-z^2) p) + d^2/dz^2((1-z^2)^2 p)
 
@@ -33,8 +34,8 @@ from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from . import noise
 from .errors import NumericalError, ResourceCapError
-from .flows import _step_count
-from .integrators import em_step_z
+from .flows import _Replicates, _spans, _step_count
+from .integrators import _em_z_increment, em_step_z
 
 __all__ = [
     "DensityGrid",
@@ -123,29 +124,28 @@ def simulate_z(z0: float, T: float, dt: float, seed: int, stream: int = 0) -> ZT
     steps = _step_count(T, dt)
     values = np.empty(steps + 1)
     values[0] = z = z0
-    db = noise.scalar_increments(seed, steps, dt, stream=stream)
-    for k in range(steps):
-        z = em_step_z(z, db[k], dt)
-        values[k + 1] = z
+    for k, db in enumerate(noise.scalar_increments(seed, steps, dt, stream=stream).tolist(), 1):
+        z = em_step_z(z, db, dt)
+        values[k] = z
     return ZTrajectory(times=dt * np.arange(steps + 1), values=values)
 
 
-def simulate_z_finals(
-    z0,
-    T: float,
-    dt: float,
-    seed: int,
-    replicates: int,
-    chunk: int = 4096,
-) -> np.ndarray:
+# bytes of one noise slice of simulate_z_finals; a z step costs little next
+# to a replicate's read, so its spans keep whole-block slices
+_Z_CHUNK_BYTES = 1 << 25
+
+
+def simulate_z_finals(z0, T: float, dt: float, seed: int, replicates: int) -> np.ndarray:
     """Final values Z_T over ``replicates`` independent substreams.
 
-    Replicate r consumes the scalar stream (seed, r), identical to what
-    ``simulate_z(..., stream=r)`` would consume, just advanced in batches.
-    ``z0`` is a scalar or a 1-D array of starting points; the result has
-    shape ``z0.shape + (replicates,)``.  Every starting point rides on the
-    same noise, drawn once per (stream, block), and the update is
-    elementwise, so each row equals the scalar-``z0`` call bit for bit.
+    Replicate r consumes the scalar stream (seed, r) and equals
+    ``simulate_z(z0, T, dt, seed, stream=r).final`` bit for bit.  ``z0``
+    is a scalar or a 1-D array of starting points; the result has shape
+    ``z0.shape + (replicates,)``.  Every starting point rides on the same
+    noise, drawn once, and the update is elementwise, so each row equals
+    the scalar-``z0`` call bit for bit.  Replicates step together in spans
+    sized by the rule of ``flows.batch_finals``, on noise slices of at most
+    32 MiB; a run above 2^27 steps raises ResourceCapError, as there.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.ndim > 1:
@@ -154,20 +154,13 @@ def simulate_z_finals(
         raise ValueError("z0 must be in [-1, 1]")
     steps = _step_count(T, dt)
     finals = np.empty(z0.shape + (replicates,))
-    for start in range(0, replicates, chunk):
-        streams = range(start, min(start + chunk, replicates))
-        c = len(streams)
-        z = np.repeat(z0[..., None], c, axis=-1)
-        for block in range((steps + noise.BLOCK_STEPS - 1) // noise.BLOCK_STEPS):
-            take = min(noise.BLOCK_STEPS, steps - block * noise.BLOCK_STEPS)
-            db = np.empty((c, take))
-            for i, r in enumerate(streams):
-                db[i] = noise.scalar_block(seed, r, block, dt)[:take]
-            for k in range(take):
-                one_minus = 1.0 - z * z
-                z += 2.0 * z * one_minus * dt + _SQRT2 * one_minus * db[:, k]
+    for lo, hi, size in _spans(replicates, steps, 8, _Z_CHUNK_BYTES, noise.BLOCK_STEPS):
+        z = np.repeat(z0[..., None], hi - lo, axis=-1)
+        for db, _ in _Replicates(seed, lo, hi - lo, dt, steps, size, ((),), noise._SCALAR_DOMAIN).blocks():
+            for k in range(db.shape[1]):
+                z += _em_z_increment(z, db[:, k], dt)
                 np.clip(z, -1.0, 1.0, out=z)
-        finals[..., start : start + c] = z
+        finals[..., lo:hi] = z
     return finals
 
 

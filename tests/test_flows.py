@@ -6,7 +6,7 @@ import pytest
 from rqf import flows, noise, zprocess
 from rqf.diagnostics import ks_critical_value, ks_two_sample
 from rqf.errors import NumericalError
-from rqf.geometry import random_unit_vector
+from rqf.geometry import random_unit_vector, unit_vector
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -263,6 +263,17 @@ class TestBatchFinals:
         assert np.array_equal(snap[0, 1, 0], single.states[0])
         assert np.array_equal(snap[1, 1, 0], single.states[1])
         assert np.array_equal(snap[2, 1, 0], single.states[1])
+
+    def test_normalised_initials_match_coupled_bit_exact(self):
+        # simulate_coupled normalises its initials and batch_finals does not,
+        # so the batch is handed the normalised point; this grid point is a
+        # unit vector that unit_vector still moves in its last bit
+        x = flows.sphere_grid(400, 3)[23]
+        start = unit_vector(x)
+        assert not np.array_equal(start, x)
+        fin = flows.batch_finals(start[None], 0.3, 1e-3, 76, 3)
+        for r in range(3):
+            assert np.array_equal(fin[r], flows.simulate_coupled([x], 0.3, 1e-3, 76, stream=r).final_states)
 
     def test_matches_single_run_bit_exact(self):
         fin = flows.batch_finals(E1[None, :], 0.5, 1e-3, 77, 5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rqf import noise
+from rqf import flows, noise
 from rqf.errors import ResourceCapError
 from rqf.noise import (
     BLOCK_STEPS,
@@ -112,6 +112,44 @@ class TestStreamingReader:
             path.vector_increment(0)
 
 
+def _scalar_reference(seed, stream, stop, dt):
+    # whole blocks drawn from the scalar-domain generator, cut to ``stop`` steps
+    blocks = [
+        noise._block_generator(seed, stream, j, noise._SCALAR_DOMAIN).standard_normal(BLOCK_STEPS)
+        for j in range(-(-stop // BLOCK_STEPS))
+    ]
+    return np.concatenate(blocks or [np.empty(0)])[:stop] * np.sqrt(dt)
+
+
+class TestScalarReads:
+    @pytest.mark.parametrize("steps", [0, 1, 1023, 1024, 1025, 2600])
+    def test_scalar_increments_equal_whole_block_draws(self, steps):
+        assert np.array_equal(scalar_increments(12, steps, 0.01, stream=4), _scalar_reference(12, 4, steps, 0.01))
+
+    def test_scalar_block_equals_whole_block_draw(self):
+        ref = _scalar_reference(12, 4, 3 * BLOCK_STEPS, 0.01)
+        for j in range(3):
+            assert np.array_equal(noise.scalar_block(12, 4, j, 0.01), ref[j * BLOCK_STEPS : (j + 1) * BLOCK_STEPS])
+
+    @pytest.mark.parametrize("start", [0, 5, 1023, 1024])
+    @pytest.mark.parametrize("chunk", [1, 7, 1024, 1500])
+    def test_reader_slices_equal_whole_block_draws(self, chunk, start):
+        steps = 2600 - start
+        reader = noise._Reader(12, 4, start, steps, ((),), noise._SCALAR_DOMAIN)
+        got = np.concatenate([reader.read(min(chunk, steps - p), 0.01)[0] for p in range(0, steps, chunk)])
+        assert np.array_equal(got, _scalar_reference(12, 4, 2600, 0.01)[start:])
+        assert not reader.rngs  # a path read to its end holds no generator
+
+    def test_lockstep_rows_equal_single_reads(self):
+        # 300-step slices of four replicates; the fourth slice crosses the seam
+        slices = list(flows._Replicates(12, 3, 4, 0.01, 1100, 300, ((),), noise._SCALAR_DOMAIN).blocks())
+        assert [db.shape for db, _ in slices] == [(4, 300)] * 3 + [(4, 200)]
+        assert all(dw is None for _, dw in slices)
+        stacked = np.concatenate([db for db, _ in slices], axis=1)
+        for i in range(4):
+            assert np.array_equal(stacked[i], scalar_increments(12, 1100, 0.01, stream=3 + i))
+
+
 class TestSubstreams:
     def test_streams_reproducible_and_distinct(self):
         a = generate_path(5, 2, 1e-2, 64, stream=0)
@@ -216,6 +254,13 @@ class TestArrayPath:
         got = np.concatenate([b for b, _ in p.blocks(chunk=4)])
         assert np.array_equal(got, db)
         assert p.steps == 6 and p.n == 2 and not p.with_vector
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_blocks_reject_chunk_below_one(self, chunk):
+        # as NoisePath.blocks does: -1 used to yield nothing, 0 a bare range() error
+        p = ArrayPath(dt=0.1, matrix_increments=np.zeros((6, 2, 2)))
+        with pytest.raises(ValueError, match="chunk must be >= 1"):
+            list(p.blocks(chunk))
 
 
 def test_noise_path_header_roundtrip():

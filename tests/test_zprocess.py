@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqf import zprocess
+from rqf import noise, zprocess
+from rqf.errors import ResourceCapError
 from rqf.zprocess import (
     DensityGrid,
     fokker_planck_evolve,
@@ -116,10 +117,10 @@ class TestSimulateZ:
         assert np.mean(np.abs(finals) > 0.999) >= 0.99
 
     def test_batch_matches_single(self):
-        finals = simulate_z_finals(0.3, 1.0, 1e-2, 8, 5)
+        # 1100 steps cross the 1024-step noise block
+        finals = simulate_z_finals(0.3, 11.0, 1e-2, 8, 5)
         for r in range(5):
-            traj = simulate_z(0.3, 1.0, 1e-2, 8, stream=r)
-            assert finals[r] == pytest.approx(traj.final, abs=1e-15)
+            assert finals[r] == simulate_z(0.3, 11.0, 1e-2, 8, stream=r).final
 
     def test_rejects_bad_start(self):
         with pytest.raises(ValueError):
@@ -224,13 +225,26 @@ class TestSpectralFokkerPlanck:
 
 
 class TestZFinalsTable:
-    def test_array_z0_rows_equal_scalar_calls(self):
-        # 1100 steps cross a noise block; 10 replicates span three chunks of 4
+    def test_array_z0_rows_equal_scalar_calls(self, monkeypatch):
+        # 1100 steps cross a noise block; four blocks' bytes per slice give
+        # spans of 4, 4 and 2 replicates
         z0s = np.array([-0.5, 0.0, 0.3])
-        table = simulate_z_finals(z0s, 11.0, 1e-2, 31, 10, chunk=4)
+        one = simulate_z_finals(z0s, 11.0, 1e-2, 31, 10)
+        chunk_bytes = 4 * 8 * noise.BLOCK_STEPS
+        monkeypatch.setattr(zprocess, "_Z_CHUNK_BYTES", chunk_bytes)
+        spans = zprocess._spans(10, 1100, 8, chunk_bytes, noise.BLOCK_STEPS)
+        assert [span[:2] for span in spans] == [(0, 4), (4, 8), (8, 10)]
+        table = simulate_z_finals(z0s, 11.0, 1e-2, 31, 10)
         assert table.shape == (3, 10)
+        assert np.array_equal(table, one)
         for row, z0 in zip(table, z0s):
-            assert np.array_equal(row, simulate_z_finals(z0, 11.0, 1e-2, 31, 10, chunk=4))
+            assert np.array_equal(row, simulate_z_finals(z0, 11.0, 1e-2, 31, 10))
+            assert all(row[r] == simulate_z(z0, 11.0, 1e-2, 31, stream=r).final for r in range(10))
+
+    def test_step_cap_raises_before_drawing(self):
+        # a replicate above 2^27 steps would draw more than noise.DEFAULT_MEM_CAP bytes
+        with pytest.raises(ResourceCapError):
+            simulate_z_finals(0.0, 1.0, 1.0 / (2**27 + 10), 1, 2)
 
     def test_rejects_out_of_range_entry(self):
         with pytest.raises(ValueError):
