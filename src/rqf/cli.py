@@ -5,9 +5,10 @@ top-level seed/output scalars), executes one named experiment, and writes
 CSV/JSON/SVG artifacts plus a manifest with a content hash per output.
 Identical configs reproduce identical content hashes.
 
-Tables are written column by column (``_csv``).  ``simulate`` steps all
-replicates in one ``batch_finals`` run and ``pullback`` simulates its grid
-once, writing the bytes ``simulate_rqf`` and ``pullback_run`` give.
+Tables are written column by column (``_csv``).  Initial states go to
+``rqf.flows`` once and as given (its normalising is idempotent), so one
+``batch_finals`` run gives ``simulate`` and ``pullback`` the bytes the
+public single-run functions give, and ``dqf`` steps through ``simulate_rqf``.
 
 Exit codes: 0 success, 2 config error, 3 numerical error, 4 resource cap.
 """
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__, diagnostics, flows, integrators, noise, zprocess
 from .errors import ConfigError, NumericalError, ResourceCapError
-from .geometry import random_unit_vector, unit_vector
+from .geometry import MIN_NORM, random_unit_vector, unit_vector
 from . import _svg
 
 EXPERIMENTS = (
@@ -144,9 +145,16 @@ def validate_document(doc: dict) -> list[str]:
         if not ok:
             violations.append("matrix must be a square symmetric list of lists")
     if "x0" in doc:
-        v = doc["x0"]
+        v, n = doc["x0"], doc.get("n", RunConfig.n)
         if not (isinstance(v, list) and len(v) >= 2 and all(is_num(c) for c in v)):
             violations.append("x0 must be a list of at least 2 numbers")
+        elif isinstance(n, int) and len(v) != n:
+            violations.append(f"x0 must have n={n} entries")
+        elif not (np.all(np.isfinite(v)) and np.linalg.norm(v) >= MIN_NORM):
+            violations.append(f"x0 must be finite with norm >= {MIN_NORM:.0e}")
+    seed_count = doc.get("seed_count", RunConfig.seed_count)
+    if exp == "uniformity" and isinstance(seed_count, int) and seed_count < 100:
+        violations.append("uniformity needs seed_count >= 100")
     return violations
 
 
@@ -221,8 +229,8 @@ def _exp_simulate(cfg: RunConfig) -> dict:
     x0 = _default_x0(cfg)
     steps = flows._step_count(cfg.T, cfg.dt)
     times = cfg.dt * np.arange(steps + 1)
-    # replicate r is simulate_rqf(x0, ..., stream=r), which normalises x0 again
-    paths = flows.batch_finals(unit_vector(x0)[None], cfg.T, cfg.dt, cfg.seed, cfg.seed_count,
+    # replicate r is simulate_rqf(x0, ..., stream=r)
+    paths = flows.batch_finals(x0[None], cfg.T, cfg.dt, cfg.seed, cfg.seed_count,
                                sign=cfg.sign, checkpoints=times)[:, :, 0].transpose(1, 0, 2)
     out = {
         "trajectory.csv": _trajectory_csv(times, paths),
@@ -263,19 +271,16 @@ def _exp_coupled(cfg: RunConfig) -> dict:
 
 def _exp_pullback(cfg: RunConfig) -> dict:
     grid = flows.sphere_grid(cfg.grid_points, cfg.n, cfg.seed)
-    # one stream-0 run: the final states are pullback_run's (each point normalised), the
-    # history follows the grid as given; they differ in the last bits, so both are members
-    g = cfg.grid_points
+    # one stream-0 run whose last checkpoint is pullback_run's final states
     times = [cfg.T * k / 24.0 for k in range(25)]
-    members = np.concatenate([grid, [unit_vector(x) for x in grid]])
-    snaps = flows.batch_finals(members, cfg.T, cfg.dt, cfg.seed, 1, checkpoints=times)[:, 0]
-    final = snaps[-1, g:]
+    snaps = flows.batch_finals(grid, cfg.T, cfg.dt, cfg.seed, 1, checkpoints=times)[:, 0]
+    final = snaps[-1]
     summary = diagnostics.attractor_detect(final, cfg.diameter_tol)
     # contraction history: worst cluster diameter at a handful of times
-    diameters = [max(diagnostics.attractor_detect(snap[:g], diameter_tol=4.0).diameters) for snap in snaps]
+    diameters = [max(diagnostics.attractor_detect(snap, diameter_tol=4.0).diameters) for snap in snaps]
 
     out = {
-        "final_states.csv": _csv(["member_id", *[f"x_{i}" for i in range(cfg.n)]], np.arange(g), final),
+        "final_states.csv": _csv(["member_id", *[f"x_{i}" for i in range(cfg.n)]], np.arange(len(final)), final),
         "diameters.csv": _csv(["t", "max_cluster_diameter"], times, diameters),
         "summary.json": _json({
             "seed": cfg.seed,
@@ -365,13 +370,13 @@ def _exp_dqf(cfg: RunConfig) -> dict:
     sample_times = np.linspace(0.0, cfg.T, 201)
     exact = np.stack([integrators.dqf_exact(m, x0, t) for t in sample_times])
 
-    # zero-noise cross-check: the one Heun loop fed M dt as every increment
-    # (ascent orientation, matching the exp(tM) solution; symmetrising the
-    # symmetric M dt is exact). Not simulate_rqf: it would normalise x0 again.
+    # zero-noise cross-check: Heun steps fed M dt as every increment (ascent
+    # orientation, matching the exp(tM) solution; symmetrising the symmetric
+    # M dt is exact)
     steps = flows._step_count(cfg.T, cfg.dt)
-    x = x0[None].copy()
-    flows._advance(x, noise.ArrayPath(cfg.dt, np.broadcast_to(m * cfg.dt, (steps, cfg.n, cfg.n))), 1.0, 0.0)
-    deviation = float(np.linalg.norm(x[0] - exact[-1]))
+    path = noise.ArrayPath(cfg.dt, np.broadcast_to(m * cfg.dt, (steps, cfg.n, cfg.n)))
+    heun = flows.simulate_rqf(x0, cfg.T, cfg.dt, cfg.seed, sign=1.0, path=path).final
+    deviation = float(np.linalg.norm(heun - exact[-1]))
 
     lam1, top, projector = integrators.dominant_eigenspace(m)
     summary = {

@@ -10,13 +10,14 @@ periodic renormalization of the separation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import stats
 
 from . import flows, noise
 from .errors import NumericalError
+from .integrators import _scales
 
 __all__ = [
     "ClusterSummary",
@@ -73,19 +74,7 @@ class UniformityReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "n": self.n,
-            "mean_norm": self.mean_norm,
-            "mean_norm_bound": self.mean_norm_bound,
-            "cov_dev_diag": self.cov_dev_diag,
-            "cov_dev_diag_bound": self.cov_dev_diag_bound,
-            "cov_dev_off": self.cov_dev_off,
-            "cov_dev_off_bound": self.cov_dev_off_bound,
-            "ks_pvalues": list(self.ks_pvalues),
-            "level": self.level,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def uniformity_check(samples, level: float = 0.01) -> UniformityReport:
@@ -380,9 +369,8 @@ def lyapunov_benettin(
         raise ValueError(f"unknown model {model!r}; expected 'phase' or 'sphere'")
     params = dict(params or {}) if model == "sphere" else {}
     n = int(params.get("n", 2))
-    sign = float(params.get("sign", -1.0))
-    q_scale = sign * float(params.get("sigma_q", 1.0))
-    w_scale = sign * float(params.get("sigma_w", 0.0))
+    q_scale, w_scale = _scales(float(params.get("sigma_q", 1.0)), float(params.get("sigma_w", 0.0)),
+                               float(params.get("sign", -1.0)))
     spi = max(1, int(round(renorm_interval / dt)))
     intervals = int(T / (spi * dt) + 1e-9)
     steps = intervals * spi

@@ -20,7 +20,7 @@ import numpy as np
 from . import noise
 from .errors import NumericalError, ResourceCapError
 from .geometry import fibonacci_sphere, random_unit_vector, unit_vector
-from .integrators import _heun_step
+from .integrators import _heun_step, _scales
 
 __all__ = [
     "Ensemble",
@@ -141,6 +141,15 @@ def _advance(states: np.ndarray, path, q_scale: float, w_scale: float, on_step=N
     return max_defect
 
 
+def _unit_rows(initials) -> np.ndarray:
+    # the one entry rule for initial states: an (m, n) stack, each row
+    # through unit_vector, which leaves points already on the sphere as given
+    arr = np.atleast_2d(np.asarray(initials, dtype=float))
+    if arr.ndim != 2 or arr.shape[0] == 0:
+        raise ValueError("need at least one initial state")
+    return np.stack([unit_vector(x) for x in arr])
+
+
 def _resolve_path(path, seed, n, dt, steps, with_vector, stream):
     if path is None:
         return noise.generate_path(seed, n, dt, steps, with_vector=with_vector, stream=stream, materialize=False)
@@ -203,25 +212,20 @@ def simulate_coupled(
 ) -> Ensemble:
     """Advance several particles under one shared noise realization.
 
-    Every member consumes the identical increment at each step.  Members
-    with equal initial states therefore stay bit-identical, and (for the
-    pure quadratic flow) antipodal initials stay exactly antipodal.
+    Each initial state passes through ``geometry.unit_vector``, as in
+    ``batch_finals``.  Every member consumes the identical increment at
+    each step.  Members with equal initial states therefore stay
+    bit-identical, and (for the pure quadratic flow) antipodal initials
+    stay exactly antipodal.
     """
-    if sigma_q < 0 or sigma_w < 0:
-        raise ValueError("sigma_q and sigma_w must be nonnegative")
-    if sign not in (-1.0, 1.0, -1, 1):
-        raise ValueError("sign must be +1 or -1")
-    initials = list(initials)
-    if not initials:
-        raise ValueError("need at least one initial state")
-    arr = np.stack([unit_vector(x) for x in initials])
-    m, n = arr.shape
+    q_scale, w_scale = _scales(sigma_q, sigma_w, sign)
+    states = _unit_rows(initials)
+    m, n = states.shape
     steps = _step_count(T, dt)
     p = _resolve_path(path, seed, n, dt, steps, sigma_w != 0.0, stream)
-    states = arr.copy()
     record = np.empty((steps + 1, m, n))
     record[0] = states
-    _advance(states, p, float(sign) * sigma_q, float(sign) * sigma_w, record.__setitem__)
+    _advance(states, p, q_scale, w_scale, record.__setitem__)
     members = [
         Trajectory(times=dt * np.arange(steps + 1), states=record[:, i].copy()) for i in range(m)
     ]
@@ -306,25 +310,23 @@ def batch_finals(
 ) -> np.ndarray:
     """Final states over independent noise realizations, shape (R, m, n).
 
-    Replicate r is driven by the substream (seed, r).  ``initials`` are
-    used as given, while ``simulate_coupled`` first passes each through
-    ``geometry.unit_vector``, which can move a unit vector in its last
-    bits; so replicate r matches a member-for-member run of
-    ``simulate_coupled(..., stream=r)`` bit-exactly when every initial is
-    a fixed point of ``unit_vector``, for example ``unit_vector(x)``.
-    Replicates are advanced together in spans, one batched Heun step per
-    time step and span.  ``chunk_bytes`` bounds the noise slice in flight:
-    a slice holds a span's increments for as many steps as fit, at most
-    one 1024-step block.  A span holds every replicate unless its slices
-    would then be shorter than 64 steps (or than the run).  ``threads`` is
-    accepted and ignored: the batched step holds the GIL, so a second
-    thread only slows it.
+    Replicate r is driven by the substream (seed, r).  Each initial state
+    passes through ``geometry.unit_vector``, as in ``simulate_coupled``,
+    so replicate r equals ``simulate_coupled(initials, ..., stream=r)``
+    member for member, bit for bit.  Replicates are advanced together in
+    spans, one batched Heun step per time step and span.  ``chunk_bytes``
+    bounds the noise slice in flight: a slice holds a span's increments
+    for as many steps as fit, at most one 1024-step block.  A span holds
+    every replicate unless its slices would then be shorter than 64 steps
+    (or than the run).  ``threads`` is accepted and ignored: the batched
+    step holds the GIL, so a second thread only slows it.
 
     ``checkpoints`` (times in [0, T], rounded onto the step grid like T
     itself; others raise ``ValueError``) switches the return value to the
     states at those times, shape (len(checkpoints), R, m, n).
     """
-    arr = np.atleast_2d(np.asarray(initials, dtype=float))
+    q_scale, w_scale = _scales(sigma_q, sigma_w, sign)
+    arr = _unit_rows(initials)
     m, n = arr.shape
     steps = _step_count(T, dt)
     with_vector = sigma_w != 0.0
@@ -345,7 +347,7 @@ def batch_finals(
         states = np.broadcast_to(arr, (hi - lo, m, n)).copy()
         snapshot(0, states)
         path = _Replicates(seed, lo, hi - lo, dt, steps, size, noise._shapes(n, with_vector))
-        _advance(states, path, float(sign) * sigma_q, float(sign) * sigma_w, snapshot)
+        _advance(states, path, q_scale, w_scale, snapshot)
     return out[0] if checkpoints is None else out
 
 
@@ -437,27 +439,15 @@ def sphere_grid(count: int, n: int, seed: int = 0) -> np.ndarray:
     return np.stack([random_unit_vector(n, rng) for _ in range(count)])
 
 
-def pullback_run(
-    initial_grid,
-    T: float,
-    dt: float,
-    seed: int,
-    *,
-    diameter_tol: float = 1e-3,
-    stream: int = 0,
-) -> PullbackResult:
+def pullback_run(initial_grid, T: float, dt: float, seed: int, *, diameter_tol: float = 1e-3) -> PullbackResult:
     """Push a grid of initial states through one fixed realization.
 
+    The run is replicate 0 of ``batch_finals(initial_grid, T, dt, seed, 1)``.
     By stationarity of the increments this is equal in law to the
     pull-back picture (evolving from the distant past); the returned
     cluster summary describes the terminal configuration.
     """
     from .diagnostics import attractor_detect
 
-    grid = np.stack([unit_vector(x) for x in initial_grid])
-    steps = _step_count(T, dt)
-    p = noise.generate_path(seed, grid.shape[1], dt, steps, stream=stream, materialize=False)
-    states = grid.copy()
-    _advance(states, p, -1.0, 0.0)
-    summary = attractor_detect(states, diameter_tol)
-    return PullbackResult(final_states=states, summary=summary)
+    final = batch_finals(initial_grid, T, dt, seed, 1)[0]
+    return PullbackResult(final_states=final, summary=attractor_detect(final, diameter_tol))

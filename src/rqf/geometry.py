@@ -30,6 +30,11 @@ MIN_NORM = 1e-8
 def unit_vector(coords) -> np.ndarray:
     """Normalize ``coords`` to a point on the unit sphere S^{n-1}.
 
+    Idempotent: a vector whose computed norm is within 4 eps of 1 is
+    returned as is (dividing by that roundoff would only move its last
+    bits), so a second call changes no bit.  Odd: the result for
+    ``-coords`` is the negation of the result for ``coords``.
+
     Parameters
     ----------
     coords : array_like, shape (n,)
@@ -48,7 +53,7 @@ def unit_vector(coords) -> np.ndarray:
     nrm = float(np.linalg.norm(x))
     if nrm < MIN_NORM:
         raise ValueError(f"norm {nrm:.3e} below {MIN_NORM:.0e}; direction undefined")
-    out = x / nrm
+    out = x.copy() if abs(nrm - 1.0) <= 4.0 * np.finfo(float).eps else x / nrm
     out.setflags(write=False)
     return out
 

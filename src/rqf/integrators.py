@@ -38,6 +38,16 @@ class StepResult:
     renorm_defect: float
 
 
+def _scales(sigma_q: float, sigma_w: float, sign: float) -> tuple[float, float]:
+    # the one check of these parameters for every sphere stepper: the field
+    # scales of dX = sign (sigma_q P_X dQ X + sigma_w P_X dW)
+    if sign not in (-1.0, 1.0):
+        raise ValueError("sign must be +1 or -1")
+    if not (sigma_q >= 0 and sigma_w >= 0):
+        raise ValueError("sigma_q and sigma_w must be nonnegative")
+    return float(sign) * sigma_q, float(sign) * sigma_w
+
+
 def _field(states, dq, dw, q_scale: float, w_scale: float) -> np.ndarray:
     # states (..., m, n), dq (..., n, n) symmetric, dw (..., n) or None; the
     # result is tangent at every state by construction
@@ -77,11 +87,10 @@ def heun_step_rqf(x: np.ndarray, dq: np.ndarray, sign: float = -1.0) -> StepResu
     ``F(y) = sign (dq y - <y, dq y> y)``, then renormalization.  The field
     is odd in x, so the step maps -x to -(step of x) bit-exactly.
     """
-    if sign not in (-1.0, 1.0, -1, 1):
-        raise ValueError("sign must be +1 or -1")
+    q_scale, w_scale = _scales(1.0, 0.0, sign)
     if not np.all(np.isfinite(dq)):
         raise NumericalError("increment contains non-finite entries")
-    return _single_step(x, dq, None, float(sign), 0.0)
+    return _single_step(x, dq, None, q_scale, w_scale)
 
 
 def heun_step_bias(
@@ -96,11 +105,10 @@ def heun_step_bias(
     sigma_w = 0 reduces bit-exactly to ``heun_step_rqf(x, dq, sign=-1)``;
     sigma_q = 0 is the driftless vector-noise motion on the sphere.
     """
-    if sigma_q < 0 or sigma_w < 0:
-        raise ValueError("sigma_q and sigma_w must be nonnegative")
+    q_scale, w_scale = _scales(sigma_q, sigma_w, -1.0)
     if not (np.all(np.isfinite(dq)) and np.all(np.isfinite(dw))):
         raise NumericalError("increment contains non-finite entries")
-    return _single_step(x, dq, dw, -sigma_q, -sigma_w)
+    return _single_step(x, dq, dw, q_scale, w_scale)
 
 
 def em_step_z(z: float, db: float, dt: float) -> float:

@@ -230,10 +230,8 @@ def max_stable_dt(m: int) -> float:
 
 def _fp_coefficients(grid: DensityGrid):
     """Upwind parts of the drift on the interior faces, and D = Sigma at the cells."""
-    faces = grid.edges[1:-1]
-    a_face = 2.0 * faces * (1.0 - faces * faces)
-    centers = grid.centers
-    return np.maximum(a_face, 0.0), np.minimum(a_face, 0.0), (1.0 - centers * centers) ** 2
+    a_face = z_drift(grid.edges[1:-1])
+    return np.maximum(a_face, 0.0), np.minimum(a_face, 0.0), sigma_z(grid.centers)
 
 
 def _fp_rates(grid: DensityGrid):

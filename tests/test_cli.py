@@ -3,6 +3,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from rqf import cli, diagnostics, flows, integrators
 from rqf.geometry import random_unit_vector
@@ -82,8 +83,9 @@ class TestMainEntry:
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
 
     def test_resource_cap_exit_code(self, tmp_path, capsys):
+        # a valid uniformity run (>= 100 replicates) whose horizon is over the noise cap
         doc = {"experiment": "uniformity", "n": 3, "T": 10_000.0, "dt": 1e-4,
-               "seed": 1, "seed_count": 4, "out_dir": str(tmp_path / "runs")}
+               "seed": 1, "seed_count": 100, "out_dir": str(tmp_path / "runs")}
         path = write_config(tmp_path, doc)
         rc = cli.main(["uniformity", "--config", path])
         assert rc == 4
@@ -107,6 +109,22 @@ class TestMainEntry:
             path = write_config(tmp_path, doc)
             assert cli.main(["lyapunov", "--config", path]) == 2
             assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+
+    @pytest.mark.parametrize("experiment, extra, message", [
+        ("simulate", {"x0": [1.0, 0.0]}, "x0 must have n=3 entries"),
+        ("uniformity", {"n": 4, "x0": [1.0, 0.0, 0.0], "seed_count": 100}, "x0 must have n=4 entries"),
+        ("simulate", {"x0": [1e-9, 0.0, 0.0]}, "x0 must be finite with norm >= 1e-08"),
+        ("uniformity", {"seed_count": 99}, "uniformity needs seed_count >= 100"),
+    ])
+    def test_unrunnable_inputs_are_config_errors(self, tmp_path, capsys, experiment, extra, message):
+        # each once ran on the wrong sphere or ended in a traceback
+        doc = {"experiment": experiment, "T": 0.1, "dt": 1e-2, "seed": 1,
+               "out_dir": str(tmp_path / "runs"), **extra}
+        assert message in cli.validate_document(doc)
+        path = write_config(tmp_path, doc)
+        assert cli.main([experiment, "--config", path]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {"kind": "config", "message": message}
+        assert not (tmp_path / "runs").exists()
 
     def test_successful_run_writes_outputs(self, tmp_path, capsys):
         doc = dict(BASE, seed_count=20, out_dir=str(tmp_path / "runs"))
@@ -265,7 +283,7 @@ class TestRoutedArtifacts:
 
     def test_simulate_matches_single_runs(self, tmp_path):
         # 1100 steps cross the 1024-step noise block; x0 off the sphere is
-        # normalised by the config and again by simulate_rqf
+        # normalised by the config, and simulate_rqf leaves it as given
         doc = {"experiment": "simulate", "n": 3, "T": 1.1, "dt": 1e-3, "seed": 12,
                "seed_count": 3, "x0": [1.0, 0.3, -1.0], "out_dir": str(tmp_path / "runs")}
         cli.run(cli.RunConfig(**doc))
@@ -281,8 +299,8 @@ class TestRoutedArtifacts:
         assert summary["mean_final_inner"] == float(np.mean(finals))
 
     def test_pullback_matches_pullback_run(self, tmp_path):
-        # at n = 4 the grid as drawn and its normalised copy stay apart for
-        # the whole run, so each artifact shows which one it follows
+        # final states, clusters and the diameter history all come from the
+        # one run of the grid that pullback_run makes (n = 4: a seeded grid)
         doc = {"experiment": "pullback", "n": 4, "T": 0.5, "dt": 1e-2, "seed": 13,
                "grid_points": 30, "diameter_tol": 0.5, "out_dir": str(tmp_path / "runs")}
         cli.run(cli.RunConfig(**doc))
@@ -300,7 +318,8 @@ class TestRoutedArtifacts:
         assert (run_dir / "diameters.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_dqf_cross_check_is_the_single_step_loop(self, tmp_path):
-        # seed 10 draws an x0 that a second normalisation would move in its last bits
+        # seed 10 draws an x0 whose computed norm is not exactly 1; the
+        # cross-check must step it as drawn
         doc = {"experiment": "dqf", "n": 4, "T": 0.05, "dt": 1e-3, "seed": 10, "svg": False,
                "out_dir": str(tmp_path / "runs")}
         cli.run(cli.RunConfig(**doc))

@@ -193,6 +193,12 @@ class TestLyapunovBenettin:
         with pytest.raises(ValueError):
             lyapunov_benettin("unknown", None, 10.0, 1e-3, 0.1)
 
+    @pytest.mark.parametrize("params", [{"n": 2, "sign": 3.0}, {"n": 3, "sigma_q": -1.0},
+                                        {"n": 3, "sigma_w": -0.5}])
+    def test_invalid_sign_or_sigma_rejected(self, params):
+        with pytest.raises(ValueError, match="sign|sigma"):
+            lyapunov_benettin("sphere", params, 1.0, 1e-2, 0.1)
+
 
 def test_pullback_pole_directions_uniform():
     # poles a(w) mapped to the first-coordinate-positive hemisphere have

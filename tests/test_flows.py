@@ -265,15 +265,37 @@ class TestBatchFinals:
         assert np.array_equal(snap[2, 1, 0], single.states[1])
 
     def test_normalised_initials_match_coupled_bit_exact(self):
-        # simulate_coupled normalises its initials and batch_finals does not,
-        # so the batch is handed the normalised point; this grid point is a
-        # unit vector that unit_vector still moves in its last bit
+        # both runners pass their initials through unit_vector, so each is
+        # handed the grid point as drawn (its computed norm is not exactly 1)
         x = flows.sphere_grid(400, 3)[23]
-        start = unit_vector(x)
-        assert not np.array_equal(start, x)
-        fin = flows.batch_finals(start[None], 0.3, 1e-3, 76, 3)
+        assert np.linalg.norm(x) != 1.0
+        fin = flows.batch_finals(x[None], 0.3, 1e-3, 76, 3)
         for r in range(3):
             assert np.array_equal(fin[r], flows.simulate_coupled([x], 0.3, 1e-3, 76, stream=r).final_states)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_raw_grid_matches_coupled_bit_exact(self, n):
+        grid = flows.sphere_grid(16, n, seed=5)
+        fin = flows.batch_finals(grid, 0.2, 1e-2, 74, 2)
+        for r in range(2):
+            assert np.array_equal(fin[r], flows.simulate_coupled(grid, 0.2, 1e-2, 74, stream=r).final_states)
+
+    def test_antipodal_grid_splits_exactly(self):
+        # a grid with its negation: member i + g is -(member i) bit for bit in
+        # every replicate; half the grid is off the sphere, so both branches
+        # of unit_vector must stay odd; 9216 bytes give spans of 2 replicates
+        grid = flows.sphere_grid(20, 3)
+        half = np.concatenate([grid, 2.5 * grid])
+        g = len(half)
+        chunk_bytes = 2 * 64 * noise.step_bytes(3, False)
+        assert len(flows._spans(5, 100, noise.step_bytes(3, False), chunk_bytes)) == 3
+        fin = flows.batch_finals(np.concatenate([half, -half]), 1.0, 1e-2, 75, 5, chunk_bytes=chunk_bytes)
+        assert np.array_equal(fin[:, g:], -fin[:, :g])
+
+    @pytest.mark.parametrize("scales", [{"sign": 3.0}, {"sigma_q": -1.0}, {"sigma_w": -0.5}])
+    def test_invalid_sign_or_sigma_rejected(self, scales):
+        with pytest.raises(ValueError, match="sign|sigma"):
+            flows.batch_finals(E1[None, :], 0.1, 1e-2, 82, 2, **scales)
 
     def test_matches_single_run_bit_exact(self):
         fin = flows.batch_finals(E1[None, :], 0.5, 1e-3, 77, 5)
@@ -282,12 +304,10 @@ class TestBatchFinals:
             assert np.array_equal(fin[r, 0], single.final)
 
     def test_matches_single_run_with_vector_noise(self):
-        # batched and single-realization kernels use different einsum
-        # orderings, so agreement is to rounding, not bitwise
         fin = flows.batch_finals(np.stack([E1, E2]), 0.5, 1e-3, 99, 4, sigma_q=0.7, sigma_w=1.3)
         for r in range(4):
             ens = flows.simulate_coupled([E1, E2], 0.5, 1e-3, 99, sigma_q=0.7, sigma_w=1.3, stream=r)
-            assert np.allclose(fin[r], ens.final_states, atol=1e-12)
+            assert np.array_equal(fin[r], ens.final_states)
 
     def test_thread_count_does_not_change_result(self):
         a = flows.batch_finals(E1[None, :], 0.2, 1e-3, 78, 8, threads=1, chunk_bytes=1 << 16)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rqf.geometry import (
@@ -51,6 +51,18 @@ class TestUnitVector:
         if np.linalg.norm(arr) < 1e-8:
             return
         assert abs(np.linalg.norm(unit_vector(arr)) - 1.0) < 1e-12
+
+    @given(
+        st.integers(2, 64).flatmap(lambda n: st.lists(st.floats(-1, 1), min_size=n, max_size=n)),
+        st.floats(1e-7, 1e7),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_idempotent_and_odd(self, coords, scale):
+        arr = np.asarray(coords) * scale
+        assume(np.linalg.norm(arr) >= 1e-8)
+        x = unit_vector(arr)
+        assert np.array_equal(unit_vector(x), x)
+        assert np.array_equal(unit_vector(-arr), -x)
 
 
 class TestProjectTangent:
