@@ -105,22 +105,24 @@ def validate_document(doc: dict) -> list[str]:
         if key in doc and not pred(doc[key]):
             violations.append(message)
 
-    is_num = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-    check("n", lambda v: isinstance(v, int) and v >= 2, "n must be >= 2")
+    # JSON true and false are ints to Python; neither is a number here
+    is_int = lambda v: isinstance(v, int) and not isinstance(v, bool)
+    is_num = lambda v: is_int(v) or isinstance(v, float)
+    check("n", lambda v: is_int(v) and v >= 2, "n must be >= 2")
     check("T", lambda v: is_num(v) and v >= 0, "T must be >= 0")
     check("dt", lambda v: is_num(v) and v > 0, "dt must be positive")
-    check("seed", lambda v: isinstance(v, int), "seed must be an integer")
-    check("seed_count", lambda v: isinstance(v, int) and v >= 1, "seed_count must be >= 1")
+    check("seed", is_int, "seed must be an integer")
+    check("seed_count", lambda v: is_int(v) and v >= 1, "seed_count must be >= 1")
     check("out_dir", lambda v: isinstance(v, str) and v, "out_dir must be a non-empty string")
     check("svg", lambda v: isinstance(v, bool), "svg must be a boolean")
     check("sigma_q", lambda v: is_num(v) and v >= 0, "sigma_q must be >= 0")
     check("sigma_w", lambda v: is_num(v) and v >= 0, "sigma_w must be >= 0")
-    check("sign", lambda v: v in (-1, 1, -1.0, 1.0), "sign must be +1 or -1")
-    check("members", lambda v: isinstance(v, int) and v >= 1, "members must be >= 1")
-    check("grid_points", lambda v: isinstance(v, int) and v >= 1, "grid_points must be >= 1")
+    check("sign", lambda v: is_num(v) and v in (-1, 1), "sign must be +1 or -1")
+    check("members", lambda v: is_int(v) and v >= 1, "members must be >= 1")
+    check("grid_points", lambda v: is_int(v) and v >= 1, "grid_points must be >= 1")
     check("diameter_tol", lambda v: is_num(v) and v > 0, "diameter_tol must be positive")
     check("z0", lambda v: is_num(v) and -1 <= v <= 1, "z0 must be in [-1, 1]")
-    check("fp_cells", lambda v: isinstance(v, int) and v >= 3, "fp_cells must be >= 3")
+    check("fp_cells", lambda v: is_int(v) and v >= 3, "fp_cells must be >= 3")
     check("model", lambda v: v in ("phase", "sphere"), "model must be 'phase' or 'sphere'")
     check("renorm_interval", lambda v: is_num(v) and v > 0, "renorm_interval must be positive")
     check("delta0", lambda v: is_num(v) and v > 0, "delta0 must be positive")
@@ -148,12 +150,12 @@ def validate_document(doc: dict) -> list[str]:
         v, n = doc["x0"], doc.get("n", RunConfig.n)
         if not (isinstance(v, list) and len(v) >= 2 and all(is_num(c) for c in v)):
             violations.append("x0 must be a list of at least 2 numbers")
-        elif isinstance(n, int) and len(v) != n:
+        elif is_int(n) and len(v) != n:
             violations.append(f"x0 must have n={n} entries")
         elif not (np.all(np.isfinite(v)) and np.linalg.norm(v) >= MIN_NORM):
             violations.append(f"x0 must be finite with norm >= {MIN_NORM:.0e}")
     seed_count = doc.get("seed_count", RunConfig.seed_count)
-    if exp == "uniformity" and isinstance(seed_count, int) and seed_count < 100:
+    if exp == "uniformity" and is_int(seed_count) and seed_count < 100:
         violations.append("uniformity needs seed_count >= 100")
     return violations
 
@@ -400,12 +402,15 @@ def _exp_dqf(cfg: RunConfig) -> dict:
 
 
 def _exp_bias_scan(cfg: RunConfig) -> dict:
-    initials = flows.sphere_grid(max(2, cfg.members), cfg.n, cfg.seed)[:2]
+    pair = flows.sphere_grid(max(2, cfg.members), cfg.n, cfg.seed)[:2]
+    # every ratio's pair rides in one run on one noise read: members 2i, 2i+1
+    # get sigma_w = ratios[i] and the bits of a run of that ratio alone
+    k = len(cfg.ratios)
+    finals = flows.batch_finals(np.tile(pair, (k, 1)), cfg.T, cfg.dt, cfg.seed, cfg.seed_count, sigma_q=1.0,
+                                sigma_w=np.repeat(np.asarray(cfg.ratios, dtype=float), 2), chunk_bytes=1 << 22)
     stats = []  # polar, anti-polar, undecided fractions and mean sync metric per ratio
-    for ratio in cfg.ratios:
-        finals = flows.batch_finals(initials, cfg.T, cfg.dt, cfg.seed, cfg.seed_count,
-                                    sigma_q=1.0, sigma_w=float(ratio), chunk_bytes=1 << 22)
-        inner = np.einsum("ri,ri->r", finals[:, 0], finals[:, 1])
+    for i in range(k):
+        inner = np.einsum("ri,ri->r", finals[:, 2 * i], finals[:, 2 * i + 1])
         polar = float(np.mean(inner > 0.995))
         antipolar = float(np.mean(inner < -0.995))
         sync = np.minimum(np.arccos(np.clip(inner, -1, 1)), np.pi - np.arccos(np.clip(inner, -1, 1)))

@@ -106,14 +106,17 @@ def _located(path, what: str, step: int, bad) -> NumericalError:
     return NumericalError(msg)
 
 
-def _advance(states: np.ndarray, path, q_scale: float, w_scale: float, on_step=None) -> float:
+def _advance(states: np.ndarray, path, q_scale: float, w_scale, on_step=None) -> float:
     """Heun-advance ``states`` (..., m, n) in place through ``path``; returns the max defect.
 
     ``path.blocks()`` yields ``(dB, dW)`` blocks whose leading axes match
     those of ``states`` ahead of the step axis, so all m members of a
-    replicate consume that replicate's increment.  ``on_step(k, states)``
-    runs after the k-th step and may change ``states`` in place.
+    replicate consume that replicate's increment.  ``w_scale`` is a float
+    or an (m, 1) column (see ``integrators._scales``); the run reads dW
+    only if some member's is nonzero.  ``on_step(k, states)`` runs after
+    the k-th step and may change ``states`` in place.
     """
+    vector = bool(np.any(w_scale != 0.0))  # decided once, not per step
     max_defect = 0.0
     k = 0
     for db, dw_block in path.blocks():
@@ -126,7 +129,7 @@ def _advance(states: np.ndarray, path, q_scale: float, w_scale: float, on_step=N
         dq_block = noise.symmetrize(db)
         del db  # stepping needs only the symmetrized block
         for j in range(dq_block.shape[-3]):
-            dw = None if dw_block is None else dw_block[..., j, :]
+            dw = dw_block[..., j, :] if vector else None
             out, norms = _heun_step(states, dq_block[..., j, :, :], dw, q_scale, w_scale)
             lo, hi = float(norms.min()), float(norms.max())
             if not 0.0 < lo <= hi < math.inf:
@@ -157,6 +160,8 @@ def _resolve_path(path, seed, n, dt, steps, with_vector, stream):
         raise ValueError(f"supplied path has {path.steps} steps, need {steps}")
     if path.n != n:
         raise ValueError(f"supplied path has n={path.n}, states have n={n}")
+    if with_vector and not path.with_vector:
+        raise ValueError("sigma_w > 0 needs a supplied path with vector increments")
     if path.steps == steps:
         return path
     # the loop consumes every block a path yields: keep only the first ``steps``
@@ -264,8 +269,8 @@ class _Replicates:
     """The (seed, stream + i) keyed paths, i < count, read in lockstep.
 
     ``blocks()`` yields ``(dB, dW)`` slices of shape (count, size, *shape)
-    for each of the reader's ``shapes`` (see ``noise._Reader``), dW None
-    for a one-shape path; the last slice may be shorter.  Every replicate's
+    for each of the reader's ``draws`` (see ``noise._Reader``), dW None
+    for a one-draw path; the last slice may be shorter.  Every replicate's
     reader draws its rows straight into the stacked slice.
     """
 
@@ -275,12 +280,11 @@ class _Replicates:
     dt: float
     steps: int
     size: int
-    shapes: tuple
-    domain: int = noise._MATRIX_DOMAIN
+    draws: tuple
 
     def blocks(self):
         readers = [
-            noise._Reader(self.seed, self.stream + i, 0, self.steps, self.shapes, self.domain)
+            noise._Reader(self.seed, self.stream + i, 0, self.steps, self.draws)
             for i in range(self.count)
         ]
         for pos in range(0, self.steps, self.size):
@@ -288,7 +292,7 @@ class _Replicates:
             yield self._slice(readers, min(self.size, self.steps - pos))
 
     def _slice(self, readers, take):
-        outs = [np.empty((self.count, take, *shape)) for shape in self.shapes]
+        outs = [np.empty((self.count, take, *shape)) for shape, _ in self.draws]
         for i, reader in enumerate(readers):
             reader.fill([a[i] for a in outs])
         return noise._scaled(outs, self.dt)
@@ -321,15 +325,20 @@ def batch_finals(
     (or than the run).  ``threads`` is accepted and ignored: the batched
     step holds the GIL, so a second thread only slows it.
 
+    ``sigma_w`` is one value or one value per initial state.  Members with
+    different ``sigma_w`` share each replicate's dB and dW, and member i
+    gets the bits of a run of its own with ``sigma_w[i]`` (with 0, of a run
+    without vector noise), so a scan over bias ratios is one run.
+
     ``checkpoints`` (times in [0, T], rounded onto the step grid like T
     itself; others raise ``ValueError``) switches the return value to the
     states at those times, shape (len(checkpoints), R, m, n).
     """
-    q_scale, w_scale = _scales(sigma_q, sigma_w, sign)
     arr = _unit_rows(initials)
     m, n = arr.shape
+    q_scale, w_scale = _scales(sigma_q, sigma_w, sign, m)
     steps = _step_count(T, dt)
-    with_vector = sigma_w != 0.0
+    with_vector = bool(np.any(w_scale != 0.0))
     spans = _spans(replicates, steps, noise.step_bytes(n, with_vector), chunk_bytes)
     cp_steps = [steps] if checkpoints is None else [_steps_to(t, dt) for t in checkpoints]
     if max(cp_steps, default=0) > steps or checkpoints is not None and min(checkpoints, default=0) < 0:
@@ -346,7 +355,7 @@ def batch_finals(
 
         states = np.broadcast_to(arr, (hi - lo, m, n)).copy()
         snapshot(0, states)
-        path = _Replicates(seed, lo, hi - lo, dt, steps, size, noise._shapes(n, with_vector))
+        path = _Replicates(seed, lo, hi - lo, dt, steps, size, noise._draws(n, with_vector))
         _advance(states, path, q_scale, w_scale, snapshot)
     return out[0] if checkpoints is None else out
 
@@ -414,7 +423,7 @@ def phase_finals(phi0: float, T: float, dt: float, seed: int, replicates: int) -
     finals = np.full(replicates, float(phi0) % TWO_PI)
     for lo, hi, size in _spans(replicates, steps, noise.step_bytes(2, False), _PHASE_CHUNK_BYTES):
         phi = finals[lo:hi]
-        for db, _ in _Replicates(seed, lo, hi - lo, dt, steps, size, noise._shapes(2, False)).blocks():
+        for db, _ in _Replicates(seed, lo, hi - lo, dt, steps, size, noise._draws(2, False)).blocks():
             du, dv = _phase_combos(db)
             for k in range(du.shape[1]):
                 phi = np.mod(_phase_heun(phi, du[:, k], dv[:, k], np.sin, np.cos), TWO_PI)

@@ -38,29 +38,37 @@ class StepResult:
     renorm_defect: float
 
 
-def _scales(sigma_q: float, sigma_w: float, sign: float) -> tuple[float, float]:
+def _scales(sigma_q: float, sigma_w, sign: float, members: int | None = None):
     # the one check of these parameters for every sphere stepper: the field
-    # scales of dX = sign (sigma_q P_X dQ X + sigma_w P_X dW)
+    # scales of dX = sign (sigma_q P_X dQ X + sigma_w P_X dW).  A run of
+    # ``members`` states may give sigma_w one value per member; its w_scale
+    # is then an (m, 1) column that scales each member's vector term
     if sign not in (-1.0, 1.0):
         raise ValueError("sign must be +1 or -1")
-    if not (sigma_q >= 0 and sigma_w >= 0):
+    if np.ndim(sigma_w):
+        sigma_w = np.asarray(sigma_w, dtype=float)
+        if members is None or sigma_w.shape != (members,):
+            raise ValueError(f"sigma_w must be one value or one per initial state, got shape {sigma_w.shape}")
+        sigma_w = sigma_w[:, None]
+    if not (sigma_q >= 0 and np.all(sigma_w >= 0)):
         raise ValueError("sigma_q and sigma_w must be nonnegative")
     return float(sign) * sigma_q, float(sign) * sigma_w
 
 
-def _field(states, dq, dw, q_scale: float, w_scale: float) -> np.ndarray:
-    # states (..., m, n), dq (..., n, n) symmetric, dw (..., n) or None; the
-    # result is tangent at every state by construction
+def _field(states, dq, dw, q_scale: float, w_scale) -> np.ndarray:
+    # states (..., m, n), dq (..., n, n) symmetric, dw (..., n) or None for
+    # no vector term; w_scale is a float or an (m, 1) column.  The result is
+    # tangent at every state by construction
     dqy = states @ dq
     s = np.einsum("...mi,...mi->...m", states, dqy)
     f = q_scale * (dqy - s[..., None] * states)
-    if w_scale != 0.0:
+    if dw is not None:
         proj = np.einsum("...mi,...i->...m", states, dw)
         f = f + w_scale * (dw[..., None, :] - proj[..., None] * states)
     return f
 
 
-def _heun_step(states, dq, dw, q_scale: float, w_scale: float):
+def _heun_step(states, dq, dw, q_scale: float, w_scale):
     """One Heun step of dX = q_scale P_X dQ X + w_scale P_X dW for (..., m, n) states.
 
     Returns the corrected states before renormalization and their norms;
@@ -108,7 +116,7 @@ def heun_step_bias(
     q_scale, w_scale = _scales(sigma_q, sigma_w, -1.0)
     if not (np.all(np.isfinite(dq)) and np.all(np.isfinite(dw))):
         raise NumericalError("increment contains non-finite entries")
-    return _single_step(x, dq, dw, q_scale, w_scale)
+    return _single_step(x, dq, dw if w_scale != 0.0 else None, q_scale, w_scale)
 
 
 def em_step_z(z: float, db: float, dt: float) -> float:

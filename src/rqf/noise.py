@@ -14,8 +14,9 @@ That gives
 
 Matrix increments dB have iid Normal(0, dt) entries; the symmetrized
 increment dQ = (dB + dB^T)/2 then has Var(dQ_ii) = dt and
-Var(dQ_ij) = dt/2, i.e. dQ ~ sqrt(dt/2) * GOE.  A block's vector
-increments dW follow its whole dB draw in the stream.
+Var(dQ_ij) = dt/2, i.e. dQ ~ sqrt(dt/2) * GOE.  Vector increments dW are
+keyed in their own domain, so a path's dB is the same with or without
+dW, and reading dW never draws dB.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ DEFAULT_MEM_CAP = 1 << 30  # 1 GiB
 
 _MAX_STREAM = 1 << 32
 _MAX_BLOCK = 1 << 30
-_MATRIX_DOMAIN = 0  # matrix + vector draws share one generator per block
+_MATRIX_DOMAIN = 0  # matrix increments dB
 _SCALAR_DOMAIN = 1  # scalar Brownian increments (z-process drivers)
+_VECTOR_DOMAIN = 2  # vector increments dW
 
 
 def _block_generator(seed: int, stream: int, block: int, domain: int) -> np.random.Generator:
@@ -66,31 +68,30 @@ def _block_generator(seed: int, stream: int, block: int, domain: int) -> np.rand
 class _Reader:
     """Successive draws of one keyed path from absolute step ``start``, for ``steps`` steps.
 
-    ``shapes`` holds one step's draw per output: ``((n, n),)`` or ``((n, n), (n,))``
-    (dB, dW) in the matrix domain, ``((),)`` in the scalar one.  A block's
-    output i follows the whole block of every earlier output in the stream,
-    so it has its own generator, moved past those draws.  Generators live
-    until their block or the path is read to its end; only delivered rows
-    are drawn, apart from an offset path's prefix.
+    ``draws`` holds one ``(shape, domain)`` pair per output, the shape of one
+    step's draw: ``(((n, n), _MATRIX_DOMAIN),)``, plus ``((n,), _VECTOR_DOMAIN)``
+    for dW (see ``_draws``), or ``_SCALAR_DRAWS``.  Each output of a block has
+    the generator of its own domain.  Generators live until their block or
+    the path is read to its end; only delivered rows are drawn, apart from an
+    offset path's prefix.
     """
 
-    def __init__(self, seed: int, stream: int, start: int, steps: int, shapes, domain: int = _MATRIX_DOMAIN):
-        self.seed, self.stream, self.domain, self.shapes = seed, stream, domain, shapes
+    def __init__(self, seed: int, stream: int, start: int, steps: int, draws):
+        self.seed, self.stream, self.draws = seed, stream, draws
         self.block, self.row = divmod(start, BLOCK_STEPS)
         self.left = steps
         self.rngs = []
 
     def fill(self, outs):
-        """Draw the next ``len(outs[0])`` steps of standard normals into ``outs``, one array per shape."""
+        """Draw the next ``len(outs[0])`` steps of standard normals into ``outs``, one array per draw."""
         take, filled = len(outs[0]), 0
         self.left -= take
         while filled < take:
             if not self.rngs:
-                self.rngs = [_block_generator(self.seed, self.stream, self.block, self.domain) for _ in self.shapes]
-                for i, rng in enumerate(self.rngs):
-                    for shape in self.shapes[:i]:
-                        rng.standard_normal((BLOCK_STEPS, *shape))
-                    rng.standard_normal((self.row, *self.shapes[i]))
+                self.rngs = [_block_generator(self.seed, self.stream, self.block, domain) for _, domain in self.draws]
+                if self.row:
+                    for rng, (shape, _) in zip(self.rngs, self.draws):
+                        rng.standard_normal((self.row, *shape))
             got = min(BLOCK_STEPS - self.row, take - filled)
             for rng, a in zip(self.rngs, outs):
                 rng.standard_normal(out=a[filled : filled + got])
@@ -102,7 +103,7 @@ class _Reader:
             self.rngs = []
 
     def read(self, take: int, dt: float):
-        outs = [np.empty((take, *shape)) for shape in self.shapes]
+        outs = [np.empty((take, *shape)) for shape, _ in self.draws]
         self.fill(outs)
         return _scaled(outs, dt)
 
@@ -114,8 +115,13 @@ def _scaled(outs, dt: float):
     return outs[0], outs[1] if len(outs) > 1 else None
 
 
-def _shapes(n: int, with_vector: bool):
-    return ((n, n), (n,)) if with_vector else ((n, n),)
+_SCALAR_DRAWS = (((), _SCALAR_DOMAIN),)
+
+
+def _draws(n: int, with_vector: bool):
+    """The reader's ``draws`` of a matrix path: dB, and dW when it has one."""
+    matrix = ((n, n), _MATRIX_DOMAIN)
+    return (matrix, ((n,), _VECTOR_DOMAIN)) if with_vector else (matrix,)
 
 
 def step_bytes(n: int, with_vector: bool) -> int:
@@ -125,14 +131,14 @@ def step_bytes(n: int, with_vector: bool) -> int:
 
 def scalar_block(seed: int, stream: int, block: int, dt: float) -> np.ndarray:
     """One block of scalar Brownian increments, Normal(0, dt) each."""
-    return _Reader(seed, stream, block * BLOCK_STEPS, BLOCK_STEPS, ((),), _SCALAR_DOMAIN).read(BLOCK_STEPS, dt)[0]
+    return _Reader(seed, stream, block * BLOCK_STEPS, BLOCK_STEPS, _SCALAR_DRAWS).read(BLOCK_STEPS, dt)[0]
 
 
 def scalar_increments(seed: int, steps: int, dt: float, stream: int = 0) -> np.ndarray:
     """Materialize ``steps`` scalar Brownian increments."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    return _Reader(seed, stream, 0, steps, ((),), _SCALAR_DOMAIN).read(steps, dt)[0]
+    return _Reader(seed, stream, 0, steps, _SCALAR_DRAWS).read(steps, dt)[0]
 
 
 @dataclass
@@ -182,7 +188,7 @@ class NoisePath:
             yield reader.read(min(chunk, self.steps - pos), self.dt)
 
     def _reader(self, k: int, steps: int, with_vector: bool) -> _Reader:
-        return _Reader(self.seed, self.stream, self.offset + k, steps, _shapes(self.n, with_vector))
+        return _Reader(self.seed, self.stream, self.offset + k, steps, _draws(self.n, with_vector))
 
     def _increment(self, k: int, with_vector: bool):
         if not 0 <= k < self.steps:

@@ -156,7 +156,7 @@ def simulate_z_finals(z0, T: float, dt: float, seed: int, replicates: int) -> np
     finals = np.empty(z0.shape + (replicates,))
     for lo, hi, size in _spans(replicates, steps, 8, _Z_CHUNK_BYTES, noise.BLOCK_STEPS):
         z = np.repeat(z0[..., None], hi - lo, axis=-1)
-        for db, _ in _Replicates(seed, lo, hi - lo, dt, steps, size, ((),), noise._SCALAR_DOMAIN).blocks():
+        for db, _ in _Replicates(seed, lo, hi - lo, dt, steps, size, noise._SCALAR_DRAWS).blocks():
             for k in range(db.shape[1]):
                 z += _em_z_increment(z, db[:, k], dt)
                 np.clip(z, -1.0, 1.0, out=z)

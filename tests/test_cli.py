@@ -126,6 +126,22 @@ class TestMainEntry:
         assert json.loads(capsys.readouterr().err)["error"] == {"kind": "config", "message": message}
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("experiment, extra, messages", [
+        ("coupled", {"members": True}, ["members must be >= 1"]),
+        ("coupled", {"sign": True}, ["sign must be +1 or -1"]),
+        ("zprocess", {"seed": True, "seed_count": True}, ["seed must be an integer", "seed_count must be >= 1"]),
+        ("pullback", {"grid_points": True, "n": True}, ["n must be >= 2", "grid_points must be >= 1"]),
+    ])
+    def test_json_booleans_are_not_integers(self, tmp_path, capsys, experiment, extra, messages):
+        # Python counts True as the int 1; these once ran 1 member or wrote zprocess-True/
+        doc = {"experiment": experiment, "T": 0.1, "dt": 1e-2, "seed": 1,
+               "out_dir": str(tmp_path / "runs"), **extra}
+        assert cli.validate_document(doc) == messages
+        path = write_config(tmp_path, doc)
+        assert cli.main([experiment, "--config", path]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {"kind": "config", "message": "; ".join(messages)}
+        assert not (tmp_path / "runs").exists()
+
     def test_successful_run_writes_outputs(self, tmp_path, capsys):
         doc = dict(BASE, seed_count=20, out_dir=str(tmp_path / "runs"))
         path = write_config(tmp_path, doc)

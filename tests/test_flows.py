@@ -157,6 +157,11 @@ class TestSimulateBias:
         with pytest.raises(ValueError):
             flows.simulate_bias(E1, 0.1, 1e-2, 1, -0.5, 0.0)
 
+    def test_supplied_path_without_vector_increments_rejected(self):
+        path = noise.ArrayPath(dt=1e-2, matrix_increments=np.zeros((10, 3, 3)))
+        with pytest.raises(ValueError, match="vector increments"):
+            flows.simulate_bias(E1, 0.1, 1e-2, 1, 1.0, 0.5, path=path)
+
 
 class TestNormPreservation:
     def test_renorm_defect_small_on_s4(self):
@@ -296,6 +301,32 @@ class TestBatchFinals:
     def test_invalid_sign_or_sigma_rejected(self, scales):
         with pytest.raises(ValueError, match="sign|sigma"):
             flows.batch_finals(E1[None, :], 0.1, 1e-2, 82, 2, **scales)
+
+    def test_per_member_sigma_w_matches_one_run_per_ratio(self):
+        # a bias scan as one run: member pair i of the tiled pair has
+        # sigma_w = ratios[i] and equals a run of that ratio alone, bit for
+        # bit; the ratio-0 pair equals the run without vector noise.  1100
+        # steps cross the block seam, and 12288 bytes give spans of 2 + 1
+        # replicates
+        ratios = np.array([0.0, 0.5, 4.0])
+        pair = np.stack([E1, E2])
+        chunk_bytes = 2 * 64 * noise.step_bytes(3, True)
+        assert len(flows._spans(3, 1100, noise.step_bytes(3, True), chunk_bytes)) == 2
+        scan = flows.batch_finals(np.tile(pair, (3, 1)), 1.1, 1e-3, 84, 3,
+                                  sigma_w=np.repeat(ratios, 2), chunk_bytes=chunk_bytes)
+        for i, ratio in enumerate(ratios):
+            assert np.array_equal(scan[:, 2 * i : 2 * i + 2], flows.batch_finals(pair, 1.1, 1e-3, 84, 3, sigma_w=ratio))
+        assert np.array_equal(scan[:, :2], flows.batch_finals(pair, 1.1, 1e-3, 84, 3))
+
+    @pytest.mark.parametrize("sigma_w", [[0.5, -0.5], [0.5, np.nan], [0.5, 0.5, 0.5], [0.5], [[0.5, 0.5]]])
+    def test_invalid_per_member_sigma_w_rejected(self, sigma_w):
+        # a negative or NaN entry, or not one value per initial state
+        with pytest.raises(ValueError, match="sigma_w"):
+            flows.batch_finals(np.stack([E1, E2]), 0.1, 1e-2, 82, 2, sigma_w=sigma_w)
+
+    def test_per_member_sigma_w_only_in_batch_finals(self):
+        with pytest.raises(ValueError, match="sigma_w"):
+            flows.simulate_coupled([E1, E2], 0.1, 1e-2, 82, sigma_w=[0.5, 0.5])
 
     def test_matches_single_run_bit_exact(self):
         fin = flows.batch_finals(E1[None, :], 0.5, 1e-3, 77, 5)

@@ -65,13 +65,14 @@ class TestGeneratePath:
 
 
 def _whole_block_reference(path):
-    # every block drawn whole from its keyed generator, matrix rows first,
-    # then vector rows, and cut to the steps the path covers
+    # every block drawn whole, dB from its matrix-domain generator and dW
+    # from its vector-domain one, and cut to the steps the path covers
     first, last = path.offset // BLOCK_STEPS, (path.offset + path.steps - 1) // BLOCK_STEPS
     db, dw = [], []
     for j in range(first, last + 1):
         rng = noise._block_generator(path.seed, path.stream, j, noise._MATRIX_DOMAIN)
         db.append(rng.standard_normal((BLOCK_STEPS, path.n, path.n)))
+        rng = noise._block_generator(path.seed, path.stream, j, noise._VECTOR_DOMAIN)
         dw.append(rng.standard_normal((BLOCK_STEPS, path.n)))
     lo = path.offset - first * BLOCK_STEPS
     cut = slice(lo, lo + path.steps)
@@ -101,6 +102,26 @@ class TestStreamingReader:
         for k in (0, 1, 1018, 1019, 1023, 1024, path.steps - 1):
             assert np.array_equal(path.matrix_increment(k), ref_db[k])
             assert np.array_equal(path.vector_increment(k), ref_dw[k])
+
+    @pytest.mark.parametrize("offset", [0, 5, 1024])
+    def test_vector_path_reads_the_matrix_only_db(self, offset):
+        # dW has its own key domain, so reading it leaves every dB bit as is
+        with_dw = shift_path(NoisePath(34, 3, 0.01, 2600, True, stream=5), offset)
+        without = shift_path(NoisePath(34, 3, 0.01, 2600, False, stream=5), offset)
+        for (db, dw), (db0, dw0) in zip(with_dw.blocks(700), without.blocks(700)):
+            assert np.array_equal(db, db0)
+            assert dw.shape == (len(db), 3) and dw0 is None
+
+    def test_vector_noise_uncorrelated_with_matrix_noise(self):
+        # every dW coordinate against every dB entry of the same (seed, stream)
+        path = generate_path(35, 3, 1.0, 20_000, with_vector=True, stream=2)
+        db = path.matrix_increments.reshape(path.steps, 9)
+        dw = path.vector_increments
+        rho = np.corrcoef(dw.T, db.T)[:3, 3:]
+        assert np.abs(rho).max() < 4 / np.sqrt(path.steps)
+        # and no dW value is a dB draw of the first blocks, as it would be if
+        # both came from one generator
+        assert not np.isin(dw[:BLOCK_STEPS].ravel(), db[: 2 * BLOCK_STEPS].ravel()).any()
 
     def test_invalid_chunk_and_index(self):
         path = NoisePath(33, 2, 0.1, 10)
@@ -135,14 +156,14 @@ class TestScalarReads:
     @pytest.mark.parametrize("chunk", [1, 7, 1024, 1500])
     def test_reader_slices_equal_whole_block_draws(self, chunk, start):
         steps = 2600 - start
-        reader = noise._Reader(12, 4, start, steps, ((),), noise._SCALAR_DOMAIN)
+        reader = noise._Reader(12, 4, start, steps, noise._SCALAR_DRAWS)
         got = np.concatenate([reader.read(min(chunk, steps - p), 0.01)[0] for p in range(0, steps, chunk)])
         assert np.array_equal(got, _scalar_reference(12, 4, 2600, 0.01)[start:])
         assert not reader.rngs  # a path read to its end holds no generator
 
     def test_lockstep_rows_equal_single_reads(self):
         # 300-step slices of four replicates; the fourth slice crosses the seam
-        slices = list(flows._Replicates(12, 3, 4, 0.01, 1100, 300, ((),), noise._SCALAR_DOMAIN).blocks())
+        slices = list(flows._Replicates(12, 3, 4, 0.01, 1100, 300, noise._SCALAR_DRAWS).blocks())
         assert [db.shape for db, _ in slices] == [(4, 300)] * 3 + [(4, 200)]
         assert all(dw is None for _, dw in slices)
         stacked = np.concatenate([db for db, _ in slices], axis=1)
