@@ -154,6 +154,8 @@ def validate_document(doc: dict) -> list[str]:
             violations.append(f"x0 must have n={n} entries")
         elif not (np.all(np.isfinite(v)) and np.linalg.norm(v) >= MIN_NORM):
             violations.append(f"x0 must be finite with norm >= {MIN_NORM:.0e}")
+    if exp == "bias-scan" and doc.get("members", RunConfig.members) != 2:
+        violations.append("bias-scan steps a pair: members must be 2")
     seed_count = doc.get("seed_count", RunConfig.seed_count)
     if exp == "uniformity" and is_int(seed_count) and seed_count < 100:
         violations.append("uniformity needs seed_count >= 100")
@@ -402,7 +404,7 @@ def _exp_dqf(cfg: RunConfig) -> dict:
 
 
 def _exp_bias_scan(cfg: RunConfig) -> dict:
-    pair = flows.sphere_grid(max(2, cfg.members), cfg.n, cfg.seed)[:2]
+    pair = flows.sphere_grid(2, cfg.n, cfg.seed)
     # every ratio's pair rides in one run on one noise read: members 2i, 2i+1
     # get sigma_w = ratios[i] and the bits of a run of that ratio alone
     k = len(cfg.ratios)
@@ -458,8 +460,23 @@ _RUNNERS = {
 }
 
 
+def _steps(cfg: RunConfig) -> int | None:
+    """Steps of size dt the experiment took; None for fokker-planck, which has no dt grid."""
+    if cfg.experiment == "fokker-planck":
+        return None
+    if cfg.experiment == "lyapunov":
+        spi, intervals = diagnostics._benettin_grid(cfg.T, cfg.dt, cfg.renorm_interval)
+        return spi * intervals
+    return flows._step_count(cfg.T, cfg.dt)
+
+
 def run(cfg: RunConfig, threads: int | None = None) -> dict:
-    """Execute one experiment (``threads`` is ignored); write outputs and the manifest; return it."""
+    """Execute one experiment (``threads`` is ignored); write outputs and the manifest; return it.
+
+    Next to ``wall_time_s`` the manifest records the dt grid actually
+    stepped, ``steps`` and ``T_simulated`` = steps * dt, which can differ
+    from T when T is not a multiple of dt.  Neither is hashed.
+    """
     started = time.perf_counter()
     artifacts = _RUNNERS[cfg.experiment](cfg)
     run_dir = os.path.join(cfg.out_dir, f"{cfg.experiment}-{cfg.seed}")
@@ -481,6 +498,9 @@ def run(cfg: RunConfig, threads: int | None = None) -> dict:
         "outputs": hashes,
         "fingerprint": fingerprint,
     }
+    steps = _steps(cfg)
+    if steps is not None:
+        manifest.update(steps=steps, T_simulated=steps * cfg.dt)
     with open(os.path.join(run_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         fh.write(_json(manifest))
     return manifest

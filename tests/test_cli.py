@@ -1,10 +1,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rqf
 from rqf import cli, diagnostics, flows, integrators
 from rqf.geometry import random_unit_vector
 
@@ -115,9 +119,10 @@ class TestMainEntry:
         ("uniformity", {"n": 4, "x0": [1.0, 0.0, 0.0], "seed_count": 100}, "x0 must have n=4 entries"),
         ("simulate", {"x0": [1e-9, 0.0, 0.0]}, "x0 must be finite with norm >= 1e-08"),
         ("uniformity", {"seed_count": 99}, "uniformity needs seed_count >= 100"),
+        ("bias-scan", {"members": 8}, "bias-scan steps a pair: members must be 2"),
     ])
     def test_unrunnable_inputs_are_config_errors(self, tmp_path, capsys, experiment, extra, message):
-        # each once ran on the wrong sphere or ended in a traceback
+        # each once ran on the wrong sphere, ran other than asked, or ended in a traceback
         doc = {"experiment": experiment, "T": 0.1, "dt": 1e-2, "seed": 1,
                "out_dir": str(tmp_path / "runs"), **extra}
         assert message in cli.validate_document(doc)
@@ -226,6 +231,33 @@ class TestExperimentOutputs:
         summary = json.loads((tmp_path / "runs" / "fokker-planck-6" / "summary.json").read_text())
         assert abs(summary["spectral_gap"] - 2.966) < 1e-3
         assert summary["mass_drift"] < 1e-9
+
+    def test_manifest_records_the_horizon_stepped(self, tmp_path):
+        # T = 0.105 is not a multiple of dt: ceil(T / dt) = 11 steps reach t = 0.11
+        doc = {"experiment": "simulate", "n": 3, "T": 0.105, "dt": 1e-2, "seed": 2, "svg": False,
+               "out_dir": str(tmp_path / "runs")}
+        manifest = cli.run(cli.RunConfig(**doc))
+        assert manifest["steps"] == 11 and manifest["T_simulated"] == 11 * 1e-2
+        run_dir = tmp_path / "runs" / "simulate-2"
+        last_t = (run_dir / "trajectory.csv").read_text().splitlines()[-1].split(",")[0]
+        assert float(last_t) == manifest["T_simulated"]
+        assert json.loads((run_dir / "manifest.json").read_text())["T_simulated"] == manifest["T_simulated"]
+        # neither is hashed
+        assert manifest["fingerprint"] == hashlib.sha256(
+            "\n".join(f"{k}:{v}" for k, v in sorted(manifest["outputs"].items())).encode()).hexdigest()
+
+        # lyapunov steps whole renormalisation intervals: 10 of 0.1 fit in T = 1.05
+        doc = {"experiment": "lyapunov", "model": "phase", "T": 1.05, "dt": 1e-2, "renorm_interval": 0.1,
+               "seed": 7, "out_dir": str(tmp_path / "runs")}
+        manifest = cli.run(cli.RunConfig(**doc))
+        summary = json.loads((tmp_path / "runs" / "lyapunov-7" / "summary.json").read_text())
+        assert manifest["steps"] == 100 and manifest["T_simulated"] == summary["t_total"]
+
+        # fokker-planck has no dt grid
+        doc = {"experiment": "fokker-planck", "T": 0.02, "seed": 6, "fp_cells": 101, "svg": False,
+               "out_dir": str(tmp_path / "runs")}
+        manifest = cli.run(cli.RunConfig(**doc))
+        assert "steps" not in manifest and "T_simulated" not in manifest
 
     def test_lyapunov_output(self, tmp_path):
         doc = {"experiment": "lyapunov", "model": "phase", "T": 20.0, "dt": 1e-3,
@@ -362,3 +394,39 @@ class TestRoutedArtifacts:
             assert cli.validate_document(doc) == []
             outputs.append(cli.run(cli.RunConfig(**doc))["outputs"])
         assert outputs[0] == outputs[1]
+
+
+_IMPORT_GUARD = """
+import json, os, sys
+import rqf.cli as cli
+
+def check(where):
+    assert "scipy.stats" not in sys.modules, f"scipy.stats imported by {where}"
+
+check("import rqf.cli")
+out = sys.argv[1]
+docs = {
+    "bias-scan": {"experiment": "bias-scan", "n": 3, "T": 0.05, "dt": 0.01, "seed_count": 4,
+                  "members": 2, "ratios": [0.0, 1.0], "out_dir": out},
+    "uniformity": {"experiment": "uniformity", "n": 3, "T": 0.05, "dt": 0.01, "seed_count": 100,
+                   "out_dir": out},
+}
+for name, doc in docs.items():
+    assert cli.validate_document(doc) == []
+    check("validate_document")
+    path = os.path.join(out, name + ".json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert cli.main([name, "--config", path]) == 0
+    check("rqf " + name)
+"""
+
+
+def test_cli_paths_do_not_import_scipy_stats(tmp_path):
+    # scipy.stats costs every rqf process about 0.3 s before it reads its
+    # config; the import graph must not regain it
+    src = os.path.dirname(os.path.dirname(rqf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

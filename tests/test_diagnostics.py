@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from rqf import flows
 from rqf.diagnostics import (
+    _ks_marginals,
     attractor_detect,
     coordinate_marginal_cdf,
     ks_critical_value,
@@ -96,6 +98,58 @@ class TestUniformityCheck:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             uniformity_check(np.broadcast_to(E1, (50, 3)))
+
+
+def _tilted_sphere_samples(seed, count, n, tilt):
+    # uniform on S^{n-1} at tilt 1; a tilt below 1 pushes each coordinate
+    # outward, away from the uniform marginals
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((count, n))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return np.sign(x) * np.abs(x) ** tilt
+
+
+class TestScipyEquivalence:
+    """rqf.diagnostics computes KS without scipy.stats; these compare it to scipy.stats."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16])
+    def test_marginal_cdf_is_the_beta_cdf(self, n):
+        rng = np.random.default_rng(31)
+        u = np.concatenate([rng.uniform(-1.0, 1.0, 20_000), [-1.0, 0.0, 1.0, -1.0 - 2**-52, 1.0 + 2**-52]])
+        a = (n - 1) / 2.0
+        assert np.array_equal(coordinate_marginal_cdf(u, n), stats.beta.cdf((u + 1.0) / 2.0, a, a))
+
+    def test_ks_matches_kstest(self):
+        in_band = out_of_band = 0
+        decisions = set()
+        for count in (141, 400, 2000, 10_000):
+            for n, tilt in ((3, 1.0), (5, 1.0), (3, 0.97), (3, 0.9)):
+                x = _tilted_sphere_samples(count + n, count, n, tilt)
+                report = uniformity_check(x)
+                d, p = _ks_marginals(x)
+                assert report.ks_pvalues == p.tolist()
+                exact_p = []
+                for i in range(n):
+                    cdf = lambda u: stats.beta.cdf((u + 1.0) / 2.0, (n - 1) / 2.0, (n - 1) / 2.0)
+                    exact = stats.kstest(x[:, i], cdf)
+                    approx = stats.kstest(x[:, i], cdf, method="approx")
+                    assert d[i] == exact.statistic
+                    assert p[i] == approx.pvalue
+                    if count * d[i] ** 2 >= 2.2:
+                        assert p[i] == exact.pvalue
+                        in_band += 1
+                    else:
+                        out_of_band += 1
+                    exact_p.append(exact.pvalue)
+                expected = (report.mean_norm < report.mean_norm_bound
+                            and report.cov_dev_diag < report.cov_dev_diag_bound
+                            and report.cov_dev_off < report.cov_dev_off_bound
+                            and min(exact_p) > report.level / n)
+                assert report.passed == expected
+                decisions.add(expected)
+        # both bands, and both decisions, were exercised
+        assert in_band > 0 and out_of_band > 0
+        assert decisions == {True, False}
 
 
 class TestAttractorDetect:
