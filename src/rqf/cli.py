@@ -366,11 +366,11 @@ def _exp_dqf(cfg: RunConfig) -> dict:
         if g.shape != (cfg.n, cfg.n):
             raise ConfigError(f"matrix shape {g.shape} does not match n={cfg.n}")
     else:
-        rng = np.random.Generator(np.random.Philox(key=int(cfg.seed) & 0xFFFFFFFFFFFFFFFF))
-        g = rng.standard_normal((cfg.n, cfg.n))
+        # dqf steps no keyed noise: the matrix and x0 take the keys of
+        # block 0 of streams 0 and 1
+        g = noise._block_generator(cfg.seed, 0, 0, noise._MATRIX_DOMAIN).standard_normal((cfg.n, cfg.n))
     m = (g + g.T) / 2.0  # a config matrix is symmetric to allclose only; both flows use this part
-    rng2 = np.random.Generator(np.random.Philox(key=(int(cfg.seed) & 0xFFFFFFFFFFFFFFFF) | (1 << 64)))
-    x0 = random_unit_vector(cfg.n, rng2)
+    x0 = random_unit_vector(cfg.n, noise._block_generator(cfg.seed, 1, 0, noise._MATRIX_DOMAIN))
     sample_times = np.linspace(0.0, cfg.T, 201)
     exact = np.stack([integrators.dqf_exact(m, x0, t) for t in sample_times])
 

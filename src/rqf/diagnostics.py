@@ -290,8 +290,8 @@ def _benettin_phase(path, logs, spi, delta0):
     phi1 = 0.1
     phi2 = phi1 + delta0
     k = 0
-    for db, _ in path.blocks():
-        du_arr, dv_arr = flows._phase_combos(db)
+    for dq, _ in noise._increments(path):
+        du_arr, dv_arr = flows._phase_combos(dq)
         for du, dv in zip(du_arr.tolist(), dv_arr.tolist()):
             phi1 = flows._phase_heun(phi1, du, dv, math.sin, math.cos)
             phi2 = flows._phase_heun(phi2, du, dv, math.sin, math.cos)
@@ -326,12 +326,10 @@ def _benettin_sphere2(path, logs, spi, delta0, q_scale):
         inv = 1.0 / math.sqrt(nc * nc + ns * ns)
         return nc * inv, ns * inv
 
-    for db, _ in path.blocks():
-        rows = db.reshape(len(db), 4).tolist()
-        for b11, b12, b21, b22 in rows:
-            q12 = 0.5 * (b12 + b21)
-            x1, x2 = step(x1, x2, b11, q12, b22)
-            y1, y2 = step(y1, y2, b11, q12, b22)
+    for dq, _ in noise._increments(path):
+        for q11, q12, _, q22 in dq.reshape(len(dq), 4).tolist():
+            x1, x2 = step(x1, x2, q11, q12, q22)
+            y1, y2 = step(y1, y2, q11, q12, q22)
             k += 1
             if k % spi == 0:
                 dx = y1 - x1

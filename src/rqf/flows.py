@@ -5,8 +5,10 @@ an ensemble consumes the same symmetrized increment at every step, so the
 common-noise coupling is structural rather than something callers have to
 get right.  Monte Carlo over realizations uses per-replicate substreams
 (seed, replicate index) and advances replicates in wide batches.
-Every sphere runner goes through one Heun loop, ``_advance``, which reads
-noise one slice of at most one 1024-step block at a time.
+Every sphere runner goes through one Heun loop, ``_advance``, and the
+circle runners through one phase step; all of them read dQ from
+``noise._increments``, one checked slice of at most one 1024-step block
+at a time.  This module draws nothing itself.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import noise
-from .errors import NumericalError, ResourceCapError
+from .errors import ResourceCapError
 from .geometry import fibonacci_sphere, random_unit_vector, unit_vector
 from .integrators import _heun_step, _scales
 
@@ -96,22 +98,13 @@ def _step_count(T: float, dt: float) -> int:
     return _steps_to(T, dt)
 
 
-def _located(path, what: str, step: int, bad) -> NumericalError:
-    # ``bad`` flags replicates along the leading axes of the state stack; a
-    # keyed path names the (seed, stream) of the first one
-    msg = f"{what} at step {step}"
-    if hasattr(path, "seed"):
-        rep = int(np.flatnonzero(bad)[0])
-        msg += f" (seed {path.seed}, stream {path.stream + rep})"
-    return NumericalError(msg)
-
-
 def _advance(states: np.ndarray, path, q_scale: float, w_scale, on_step=None) -> float:
     """Heun-advance ``states`` (..., m, n) in place through ``path``; returns the max defect.
 
     ``path.blocks()`` yields ``(dB, dW)`` blocks whose leading axes match
     those of ``states`` ahead of the step axis, so all m members of a
-    replicate consume that replicate's increment.  ``w_scale`` is a float
+    replicate consume that replicate's increment; they are read as
+    ``(dQ, dW)`` through ``noise._increments``.  ``w_scale`` is a float
     or an (m, 1) column (see ``integrators._scales``); the run reads dW
     only if some member's is nonzero.  ``on_step(k, states)`` runs after
     the k-th step and may change ``states`` in place.
@@ -119,22 +112,14 @@ def _advance(states: np.ndarray, path, q_scale: float, w_scale, on_step=None) ->
     vector = bool(np.any(w_scale != 0.0))  # decided once, not per step
     max_defect = 0.0
     k = 0
-    for db, dw_block in path.blocks():
-        finite = np.isfinite(db).all(axis=(-2, -1))
-        if dw_block is not None:
-            finite &= np.isfinite(dw_block).all(axis=-1)
-        if not finite.all():
-            j = int(np.argwhere(~finite)[:, -1].min())
-            raise _located(path, "non-finite noise increment", k + j, ~finite[..., j])
-        dq_block = noise.symmetrize(db)
-        del db  # stepping needs only the symmetrized block
+    for dq_block, dw_block in noise._increments(path):
         for j in range(dq_block.shape[-3]):
             dw = dw_block[..., j, :] if vector else None
             out, norms = _heun_step(states, dq_block[..., j, :, :], dw, q_scale, w_scale)
             lo, hi = float(norms.min()), float(norms.max())
             if not 0.0 < lo <= hi < math.inf:
                 bad = ~(np.isfinite(norms) & (norms > 0.0)).all(axis=-1)
-                raise _located(path, "non-finite or zero state", k, bad)
+                raise noise._located(path, "non-finite or zero state", k, bad)
             max_defect = max(max_defect, hi - 1.0, 1.0 - lo)
             np.divide(out, norms[..., None], out=states)
             k += 1
@@ -156,6 +141,8 @@ def _unit_rows(initials) -> np.ndarray:
 def _resolve_path(path, seed, n, dt, steps, with_vector, stream):
     if path is None:
         return noise.generate_path(seed, n, dt, steps, with_vector=with_vector, stream=stream, materialize=False)
+    if path.dt != dt:
+        raise ValueError(f"supplied path has dt={path.dt}, run has dt={dt}")
     if path.steps < steps:
         raise ValueError(f"supplied path has {path.steps} steps, need {steps}")
     if path.n != n:
@@ -166,7 +153,7 @@ def _resolve_path(path, seed, n, dt, steps, with_vector, stream):
         return path
     # the loop consumes every block a path yields: keep only the first ``steps``
     if isinstance(path, noise.NoisePath):
-        return replace(path, steps=steps, _matrix=None, _vector=None)
+        return replace(path, steps=steps)
     vec = path.vector_increments
     return replace(path, matrix_increments=path.matrix_increments[:steps],
                    vector_increments=None if vec is None else vec[:steps])
@@ -264,40 +251,6 @@ def _spans(replicates: int, steps: int, per_step: int, chunk_bytes: int, min_sli
     return [(lo, min(lo + width, replicates), size) for lo in range(0, replicates, width)]
 
 
-@dataclass(frozen=True)
-class _Replicates:
-    """The (seed, stream + i) keyed paths, i < count, read in lockstep.
-
-    ``blocks()`` yields ``(dB, dW)`` slices of shape (count, size, *shape)
-    for each of the reader's ``draws`` (see ``noise._Reader``), dW None
-    for a one-draw path; the last slice may be shorter.  Every replicate's
-    reader draws its rows straight into the stacked slice.
-    """
-
-    seed: int
-    stream: int
-    count: int
-    dt: float
-    steps: int
-    size: int
-    draws: tuple
-
-    def blocks(self):
-        readers = [
-            noise._Reader(self.seed, self.stream + i, 0, self.steps, self.draws)
-            for i in range(self.count)
-        ]
-        for pos in range(0, self.steps, self.size):
-            # built by a helper, so the suspended generator holds no slice
-            yield self._slice(readers, min(self.size, self.steps - pos))
-
-    def _slice(self, readers, take):
-        outs = [np.empty((self.count, take, *shape)) for shape, _ in self.draws]
-        for i, reader in enumerate(readers):
-            reader.fill([a[i] for a in outs])
-        return noise._scaled(outs, self.dt)
-
-
 def batch_finals(
     initials,
     T: float,
@@ -355,7 +308,7 @@ def batch_finals(
 
         states = np.broadcast_to(arr, (hi - lo, m, n)).copy()
         snapshot(0, states)
-        path = _Replicates(seed, lo, hi - lo, dt, steps, size, noise._draws(n, with_vector))
+        path = noise._Replicates(seed, lo, hi - lo, dt, steps, size, noise._draws(n, with_vector))
         _advance(states, path, q_scale, w_scale, snapshot)
     return out[0] if checkpoints is None else out
 
@@ -372,11 +325,11 @@ def circle_angle(xy) -> np.ndarray:
     return np.mod(np.arctan2(xy[..., 1], xy[..., 0]), TWO_PI)
 
 
-def _phase_combos(db_block):
-    # the two independent drivers of the circle model, built from the same
-    # 2x2 matrix path the sphere flow consumes at n = 2
-    du = db_block[..., 1, 1] - db_block[..., 0, 0]
-    dv = db_block[..., 0, 1] + db_block[..., 1, 0]
+def _phase_combos(dq_block):
+    # the two independent drivers of the circle model, dB22 - dB11 and
+    # dB12 + dB21, built from the dQ the sphere flow consumes at n = 2
+    du = dq_block[..., 1, 1] - dq_block[..., 0, 0]
+    dv = 2.0 * dq_block[..., 0, 1]
     return du, dv
 
 
@@ -404,8 +357,8 @@ def simulate_phase(phi0: float, T: float, dt: float, seed: int, *, stream: int =
     phi = float(phi0) % TWO_PI
     angles[0] = phi
     k = 0
-    for db, _ in p.blocks():
-        du_arr, dv_arr = _phase_combos(db)
+    for dq, _ in noise._increments(p):
+        du_arr, dv_arr = _phase_combos(dq)
         for du, dv in zip(du_arr.tolist(), dv_arr.tolist()):
             phi = _phase_heun(phi, du, dv, math.sin, math.cos) % TWO_PI
             k += 1
@@ -413,7 +366,8 @@ def simulate_phase(phi0: float, T: float, dt: float, seed: int, *, stream: int =
     return PhaseTrajectory(times=dt * np.arange(steps + 1), angles=angles)
 
 
-# bytes of one dB slice of phase_finals; its two driver arrays add half that
+# bytes of one dB slice of phase_finals; its dQ adds as much while it is
+# symmetrized, and its two driver arrays half that
 _PHASE_CHUNK_BYTES = 1 << 26
 
 
@@ -423,8 +377,8 @@ def phase_finals(phi0: float, T: float, dt: float, seed: int, replicates: int) -
     finals = np.full(replicates, float(phi0) % TWO_PI)
     for lo, hi, size in _spans(replicates, steps, noise.step_bytes(2, False), _PHASE_CHUNK_BYTES):
         phi = finals[lo:hi]
-        for db, _ in _Replicates(seed, lo, hi - lo, dt, steps, size, noise._draws(2, False)).blocks():
-            du, dv = _phase_combos(db)
+        for dq, _ in noise._increments(noise._Replicates(seed, lo, hi - lo, dt, steps, size, noise._draws(2, False))):
+            du, dv = _phase_combos(dq)
             for k in range(du.shape[1]):
                 phi = np.mod(_phase_heun(phi, du[:, k], dv[:, k], np.sin, np.cos), TWO_PI)
         finals[lo:hi] = phi
@@ -436,7 +390,7 @@ def phase_finals(phi0: float, T: float, dt: float, seed: int, replicates: int) -
 
 def sphere_grid(count: int, n: int, seed: int = 0) -> np.ndarray:
     """Initial grid: equal angles on S^1, Fibonacci points on S^2, seeded
-    uniform draws for n > 3."""
+    uniform draws for n > 3 (keyed apart from every noise path)."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if n == 2:
@@ -444,7 +398,7 @@ def sphere_grid(count: int, n: int, seed: int = 0) -> np.ndarray:
         return np.stack([np.cos(theta), np.sin(theta)], axis=1)
     if n == 3:
         return fibonacci_sphere(count)
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & 0xFFFFFFFFFFFFFFFF))
+    rng = noise._block_generator(seed, 0, 0, noise._GRID_DOMAIN)
     return np.stack([random_unit_vector(n, rng) for _ in range(count)])
 
 

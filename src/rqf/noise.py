@@ -1,31 +1,35 @@
 """Seeded Brownian increments driving the sphere flows and the z-process.
 
-A path is never stored as the source of truth: every increment is a pure
-function of (seed, stream, step index), produced block-wise from a
-counter-based Philox generator keyed by (seed, stream, block, domain).
-That gives
+This module owns every draw.  A path is never stored as the source of
+truth: every increment is a pure function of (seed, stream, step index),
+produced block-wise from a counter-based Philox generator keyed by
+(seed, stream, block, domain), and no other module builds a key.  That
+gives
 
 * bit-identical regeneration from the same seed,
 * O(1) random access to any step (time-shift views cost nothing),
 * non-overlapping per-trajectory substreams by construction, and
-* streaming reads: one reader serves every key domain and fills batched
-  runs' replicate stacks in place; it keeps each block's generator alive
-  and draws a block only as far as it reads it, never a whole block ahead.
+* streaming reads: one generator, ``_read``, serves every key domain and
+  reads consecutive streams in lockstep; it keeps each block's generator
+  alive and draws a block only as far as it reads it, never a whole
+  block ahead.
 
 Matrix increments dB have iid Normal(0, dt) entries; the symmetrized
 increment dQ = (dB + dB^T)/2 then has Var(dQ_ii) = dt and
-Var(dQ_ij) = dt/2, i.e. dQ ~ sqrt(dt/2) * GOE.  Vector increments dW are
-keyed in their own domain, so a path's dB is the same with or without
-dW, and reading dW never draws dB.
+Var(dQ_ij) = dt/2, i.e. dQ ~ sqrt(dt/2) * GOE.  Every stepper reads dQ
+through one intake, ``_increments``, which checks each block finite and
+symmetrizes it.  Vector increments dW are keyed in their own domain, so
+a path's dB is the same with or without dW, and reading dW never draws
+dB; seeded initial grids have a domain of their own too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceCapError
+from .errors import NumericalError, ResourceCapError
 
 __all__ = [
     "BLOCK_STEPS",
@@ -48,6 +52,7 @@ _MAX_BLOCK = 1 << 30
 _MATRIX_DOMAIN = 0  # matrix increments dB
 _SCALAR_DOMAIN = 1  # scalar Brownian increments (z-process drivers)
 _VECTOR_DOMAIN = 2  # vector increments dW
+_GRID_DOMAIN = 3  # seeded initial grids (flows.sphere_grid)
 
 
 def _block_generator(seed: int, stream: int, block: int, domain: int) -> np.random.Generator:
@@ -65,53 +70,52 @@ def _block_generator(seed: int, stream: int, block: int, domain: int) -> np.rand
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class _Reader:
-    """Successive draws of one keyed path from absolute step ``start``, for ``steps`` steps.
+def _read(seed: int, stream: int, start: int, steps: int, size: int, draws, dt: float, count: int | None = None):
+    """Yield ``(dB, dW)`` slices of at most ``size`` steps of the keyed paths
+    (seed, stream + i), i < count, read in lockstep from absolute step ``start``.
 
-    ``draws`` holds one ``(shape, domain)`` pair per output, the shape of one
-    step's draw: ``(((n, n), _MATRIX_DOMAIN),)``, plus ``((n,), _VECTOR_DOMAIN)``
-    for dW (see ``_draws``), or ``_SCALAR_DRAWS``.  Each output of a block has
-    the generator of its own domain.  Generators live until their block or
-    the path is read to its end; only delivered rows are drawn, apart from an
-    offset path's prefix.
+    ``draws`` holds the ``(shape, domain)`` of each output's one-step draw
+    (``_draws`` or ``_SCALAR_DRAWS``); dW is None for a one-draw read.  A
+    slice has shape (count, take, *shape), or (take, *shape) for ``count``
+    None.  A stream's generators live until its block or the read ends;
+    only delivered rows are drawn, apart from an offset read's prefix.
     """
-
-    def __init__(self, seed: int, stream: int, start: int, steps: int, draws):
-        self.seed, self.stream, self.draws = seed, stream, draws
-        self.block, self.row = divmod(start, BLOCK_STEPS)
-        self.left = steps
-        self.rngs = []
-
-    def fill(self, outs):
-        """Draw the next ``len(outs[0])`` steps of standard normals into ``outs``, one array per draw."""
-        take, filled = len(outs[0]), 0
-        self.left -= take
-        while filled < take:
-            if not self.rngs:
-                self.rngs = [_block_generator(self.seed, self.stream, self.block, domain) for _, domain in self.draws]
-                if self.row:
-                    for rng, (shape, _) in zip(self.rngs, self.draws):
-                        rng.standard_normal((self.row, *shape))
-            got = min(BLOCK_STEPS - self.row, take - filled)
-            for rng, a in zip(self.rngs, outs):
-                rng.standard_normal(out=a[filled : filled + got])
-            filled += got
-            self.row += got
-            if self.row == BLOCK_STEPS:
-                self.block, self.row, self.rngs = self.block + 1, 0, []
-        if self.left <= 0:
-            self.rngs = []
-
-    def read(self, take: int, dt: float):
-        outs = [np.empty((take, *shape)) for shape, _ in self.draws]
-        self.fill(outs)
-        return _scaled(outs, dt)
+    rngs = [[] for _ in range(count or 1)]
+    for pos in range(0, steps, size):
+        # drawn by a helper, so the suspended reader holds no slice
+        yield _slice(seed, stream, rngs, start + pos, min(size, steps - pos), start + steps, draws, dt, count)
 
 
-def _scaled(outs, dt: float):
-    """``(dB, dW)`` from standard normal draws, scaled by sqrt(dt) in place; dW is None for one output."""
+def _once(seed: int, stream: int, start: int, steps: int, draws, dt: float):
+    """One stream's ``steps`` steps from ``start`` as one ``_read`` slice, empty for zero steps."""
+    return _slice(seed, stream, [[]], start, steps, start + steps, draws, dt, None)
+
+
+def _slice(seed, stream, rngs, start, take, stop, draws, dt, count):
+    # rows start..start+take of each stream i, from rngs[i], the generators of
+    # its current block; they are dropped when the block or the read (at
+    # ``stop``) ends
+    outs = [np.empty((len(rngs), take, *shape)) for shape, _ in draws]
+    filled = 0
+    while filled < take:
+        block, row = divmod(start + filled, BLOCK_STEPS)
+        got = min(BLOCK_STEPS - row, take - filled)
+        done = row + got == BLOCK_STEPS or start + filled + got == stop
+        for i, held in enumerate(rngs):
+            if not held:
+                held += [_block_generator(seed, stream + i, block, domain) for _, domain in draws]
+                if row:  # an offset read enters its first block part way
+                    for rng, (shape, _) in zip(held, draws):
+                        rng.standard_normal((row, *shape))
+            for rng, a in zip(held, outs):
+                rng.standard_normal(out=a[i, filled : filled + got])
+            if done:
+                held.clear()
+        filled += got
     for a in outs:
         a *= np.sqrt(dt)
+    if count is None:
+        outs = [a[0] for a in outs]
     return outs[0], outs[1] if len(outs) > 1 else None
 
 
@@ -119,9 +123,26 @@ _SCALAR_DRAWS = (((), _SCALAR_DOMAIN),)
 
 
 def _draws(n: int, with_vector: bool):
-    """The reader's ``draws`` of a matrix path: dB, and dW when it has one."""
+    """The ``draws`` of a matrix path: dB, and dW when it has one."""
     matrix = ((n, n), _MATRIX_DOMAIN)
     return (matrix, ((n,), _VECTOR_DOMAIN)) if with_vector else (matrix,)
+
+
+@dataclass(frozen=True)
+class _Replicates:
+    """The (seed, stream + i) keyed paths, i < count, read in lockstep:
+    ``blocks()`` yields ``_read`` slices of ``size`` steps (the last may be shorter)."""
+
+    seed: int
+    stream: int
+    count: int
+    dt: float
+    steps: int
+    size: int
+    draws: tuple
+
+    def blocks(self):
+        return _read(self.seed, self.stream, 0, self.steps, self.size, self.draws, self.dt, self.count)
 
 
 def step_bytes(n: int, with_vector: bool) -> int:
@@ -131,14 +152,14 @@ def step_bytes(n: int, with_vector: bool) -> int:
 
 def scalar_block(seed: int, stream: int, block: int, dt: float) -> np.ndarray:
     """One block of scalar Brownian increments, Normal(0, dt) each."""
-    return _Reader(seed, stream, block * BLOCK_STEPS, BLOCK_STEPS, _SCALAR_DRAWS).read(BLOCK_STEPS, dt)[0]
+    return _once(seed, stream, block * BLOCK_STEPS, BLOCK_STEPS, _SCALAR_DRAWS, dt)[0]
 
 
 def scalar_increments(seed: int, steps: int, dt: float, stream: int = 0) -> np.ndarray:
     """Materialize ``steps`` scalar Brownian increments."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    return _Reader(seed, stream, 0, steps, _SCALAR_DRAWS).read(steps, dt)[0]
+    return _once(seed, stream, 0, steps, _SCALAR_DRAWS, dt)[0]
 
 
 @dataclass
@@ -156,8 +177,6 @@ class NoisePath:
     with_vector: bool = False
     stream: int = 0
     offset: int = 0
-    _matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _vector: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -167,15 +186,11 @@ class NoisePath:
         if self.steps < 0 or self.offset < 0:
             raise ValueError("steps and offset must be nonnegative")
 
-    # -- storage accounting -------------------------------------------------
-
     def nbytes(self) -> int:
         return self.steps * step_bytes(self.n, self.with_vector)
 
-    # -- increment access ---------------------------------------------------
-
     def blocks(self, chunk: int = BLOCK_STEPS):
-        """Yield consecutive ``(dB, dW)`` chunks of at most ``chunk`` steps.
+        """Consecutive ``(dB, dW)`` chunks of at most ``chunk`` steps.
 
         ``dW`` is None when the path carries no vector increments.  Chunks
         are drawn from the key as they are requested and nothing is cached;
@@ -183,49 +198,46 @@ class NoisePath:
         """
         if chunk < 1:
             raise ValueError("chunk must be >= 1")
-        reader = self._reader(0, self.steps, self.with_vector)
-        for pos in range(0, self.steps, chunk):
-            yield reader.read(min(chunk, self.steps - pos), self.dt)
+        return _read(self.seed, self.stream, self.offset, self.steps, chunk, _draws(self.n, self.with_vector), self.dt)
 
-    def _reader(self, k: int, steps: int, with_vector: bool) -> _Reader:
-        return _Reader(self.seed, self.stream, self.offset + k, steps, _draws(self.n, with_vector))
+    def _take(self, k: int, steps: int, vector: bool) -> np.ndarray:
+        # ``steps`` steps of dB, or of dW, from step k, drawn from the key
+        if vector and not self.with_vector:
+            raise ValueError("path was generated without vector increments")
+        draw = ((self.n,), _VECTOR_DOMAIN) if vector else ((self.n, self.n), _MATRIX_DOMAIN)
+        return _once(self.seed, self.stream, self.offset + k, steps, (draw,), self.dt)[0]
 
-    def _increment(self, k: int, with_vector: bool):
+    def _increment(self, k: int, vector: bool) -> np.ndarray:
         if not 0 <= k < self.steps:
             raise IndexError(f"step {k} out of range [0, {self.steps})")
-        return self._reader(k, 1, with_vector).read(1, self.dt)
+        return self._take(k, 1, vector)[0]
 
     def matrix_increment(self, k: int) -> np.ndarray:
-        return self._increment(k, False)[0][0]
+        return self._increment(k, False)
 
     def vector_increment(self, k: int) -> np.ndarray:
-        if not self.with_vector:
-            raise ValueError("path was generated without vector increments")
-        return self._increment(k, True)[1][0]
+        return self._increment(k, True)
 
-    def _materialize(self, mem_cap: int = DEFAULT_MEM_CAP):
-        if self._matrix is not None:
-            return
+    def _check_cap(self, mem_cap: int = DEFAULT_MEM_CAP):
         if self.nbytes() > mem_cap:
             raise ResourceCapError(
                 f"materializing {self.steps} steps of {self.n}x{self.n} increments "
                 f"needs {self.nbytes()} bytes (cap {mem_cap}); iterate blocks() instead"
             )
-        self._matrix, self._vector = self._reader(0, self.steps, self.with_vector).read(self.steps, self.dt)
 
     @property
     def matrix_increments(self) -> np.ndarray:
-        """All matrix increments, shape (steps, n, n).  Cached."""
-        self._materialize()
-        return self._matrix
+        """All matrix increments, shape (steps, n, n), drawn from the key on each access."""
+        self._check_cap()
+        return self._take(0, self.steps, False)
 
     @property
     def vector_increments(self) -> np.ndarray | None:
-        """All vector increments, shape (steps, n), or None."""
+        """All vector increments, shape (steps, n), or None; drawn on each access."""
         if not self.with_vector:
             return None
-        self._materialize()
-        return self._vector
+        self._check_cap()
+        return self._take(0, self.steps, True)
 
     def header(self) -> dict:
         """Manifest-friendly description; increments are reproduced from it."""
@@ -269,12 +281,9 @@ class ArrayPath:
     def blocks(self, chunk: int = BLOCK_STEPS):
         if chunk < 1:
             raise ValueError("chunk must be >= 1")
+        dw = self.vector_increments
         for pos in range(0, self.steps, chunk):
-            db = self.matrix_increments[pos : pos + chunk]
-            dw = None
-            if self.vector_increments is not None:
-                dw = self.vector_increments[pos : pos + chunk]
-            yield db, dw
+            yield self.matrix_increments[pos : pos + chunk], None if dw is None else dw[pos : pos + chunk]
 
 
 def generate_path(
@@ -289,14 +298,16 @@ def generate_path(
 ) -> NoisePath:
     """Create the noise path for one realization.
 
-    Deterministic in (seed, n, dt, steps, stream).  With ``materialize``
-    the increments are generated eagerly and the call fails with
-    ResourceCapError if they would exceed ``mem_cap`` bytes; pass
-    ``materialize=False`` for streaming access via ``blocks()``.
+    Deterministic in (seed, n, dt, steps, stream).  Nothing is drawn or
+    cached here: ``matrix_increments`` and ``vector_increments`` draw from
+    the key on each access, and ``blocks()`` streams.  ``materialize``
+    only checks that the whole path fits in ``mem_cap`` bytes and raises
+    ResourceCapError if not; pass ``materialize=False`` for a path read
+    only through ``blocks()``.
     """
     path = NoisePath(seed=seed, n=n, dt=dt, steps=steps, with_vector=with_vector, stream=stream)
     if materialize:
-        path._materialize(mem_cap)
+        path._check_cap(mem_cap)
     return path
 
 
@@ -330,3 +341,36 @@ def symmetrize(db) -> np.ndarray:
     out = db + np.swapaxes(db, -1, -2)
     out /= 2.0
     return out
+
+
+def _located(path, what: str, step: int, bad) -> NumericalError:
+    # ``bad`` flags replicates along the leading axes of the state stack; a
+    # keyed path names the (seed, stream) of the first one
+    msg = f"{what} at step {step}"
+    if hasattr(path, "seed"):
+        rep = int(np.flatnonzero(bad)[0])
+        msg += f" (seed {path.seed}, stream {path.stream + rep})"
+    return NumericalError(msg)
+
+
+def _increments(path):
+    """Yield ``(dQ, dW)`` per block of ``path.blocks()``, dQ = symmetrize(dB).
+
+    The one way a stepper reads matrix noise.  Each block is checked first:
+    a non-finite dB or dW entry raises NumericalError naming its step (and,
+    on a keyed path, its seed and stream).  dW is None when the path
+    yields none.
+    """
+    k = 0
+    for db, dw in path.blocks():
+        finite = np.isfinite(db).all(axis=(-2, -1))
+        if dw is not None:
+            finite &= np.isfinite(dw).all(axis=-1)
+        if not finite.all():
+            j = int(np.argwhere(~finite)[:, -1].min())
+            raise _located(path, "non-finite noise increment", k + j, ~finite[..., j])
+        k += finite.shape[-1]
+        dq = symmetrize(db)
+        del db  # stepping needs only the symmetrized block
+        yield dq, dw
+        del dq, dw  # freed before the next block is drawn

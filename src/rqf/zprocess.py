@@ -6,7 +6,8 @@ matches the quadratic variation of <X_t, Y_t> for a common-noise pair on
 any sphere dimension.  Closed-form side: the polynomial scale function and
 boundary-hitting probabilities.  Numerical side: Euler-Maruyama simulation
 (single path, and a whole table of starting points on shared noise in the
-replicate loop of ``flows``, each replicate bit-equal to its single path)
+replicate loop of ``flows``, read through ``noise._Replicates``, each
+replicate bit-equal to its single path)
 and a conservative finite-volume discretisation of the associated
 Fokker-Planck equation
 
@@ -34,7 +35,7 @@ from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from . import noise
 from .errors import NumericalError, ResourceCapError
-from .flows import _Replicates, _spans, _step_count
+from .flows import _spans, _step_count
 from .integrators import _em_z_increment, em_step_z
 
 __all__ = [
@@ -156,7 +157,7 @@ def simulate_z_finals(z0, T: float, dt: float, seed: int, replicates: int) -> np
     finals = np.empty(z0.shape + (replicates,))
     for lo, hi, size in _spans(replicates, steps, 8, _Z_CHUNK_BYTES, noise.BLOCK_STEPS):
         z = np.repeat(z0[..., None], hi - lo, axis=-1)
-        for db, _ in _Replicates(seed, lo, hi - lo, dt, steps, size, noise._SCALAR_DRAWS).blocks():
+        for db, _ in noise._Replicates(seed, lo, hi - lo, dt, steps, size, noise._SCALAR_DRAWS).blocks():
             for k in range(db.shape[1]):
                 z += _em_z_increment(z, db[:, k], dt)
                 np.clip(z, -1.0, 1.0, out=z)

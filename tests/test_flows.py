@@ -67,6 +67,15 @@ class TestSimulateRqf:
         assert ens.noise.steps == 10
         assert np.array_equal(ens.final_states, flows.simulate_coupled([E1], 0.1, 1e-2, 24, sigma_w=0.5).final_states)
 
+    def test_supplied_path_with_another_dt_rejected(self):
+        # 100 steps of dt = 1e-3 would otherwise drive a run to t = 1.0
+        path = noise.generate_path(0, 3, 1e-3, 100, materialize=False)
+        with pytest.raises(ValueError, match="dt"):
+            flows.simulate_rqf(E1, 1.0, 1e-2, 0, path=path)
+        phase_path = noise.ArrayPath(dt=1e-3, matrix_increments=np.zeros((100, 2, 2)))
+        with pytest.raises(ValueError, match="dt"):
+            flows.simulate_phase(0.3, 1.0, 1e-2, 0, path=phase_path)
+
 
 class TestSimulateCoupled:
     def test_equal_initials_stay_bit_identical(self):
@@ -201,6 +210,13 @@ class TestNonFiniteReporting:
         db[5] = np.nan
         with pytest.raises(NumericalError, match=r"step 5 \(seed 11, stream 4\)"):
             flows.simulate_rqf(E1, 0.2, 1e-2, 11, path=KeyedPath(dt=1e-2, matrix_increments=db))
+
+    def test_phase_nan_increment_names_its_step(self):
+        # the circle runner reads its noise through the same intake
+        db = np.zeros((20, 2, 2))
+        db[10, 0, 1] = np.nan
+        with pytest.raises(NumericalError, match=r"noise increment at step 10\b"):
+            flows.simulate_phase(0.3, 0.2, 1e-2, 0, path=noise.ArrayPath(dt=1e-2, matrix_increments=db))
 
     def test_overflowing_state_names_its_step(self):
         db = np.zeros((30, 3, 3))
@@ -416,6 +432,17 @@ class TestSphereGridAndPullback:
             g = flows.sphere_grid(40, n, seed=1)
             assert g.shape == (40, n)
             assert np.max(np.abs(np.linalg.norm(g, axis=1) - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_seeded_grid_shares_no_normals_with_the_noise(self, n):
+        # the grid has its own key domain; keyed like replicate 0's first dB
+        # block, its points were the normalised rows of the first increment
+        grid = flows.sphere_grid(2 * n, n, seed=7)
+        rows = noise.NoisePath(7, n, 1e-2, 1).matrix_increment(0)
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        for sign in (1.0, -1.0):
+            gaps = np.linalg.norm(grid[:, None, :] - sign * rows[None, :, :], axis=-1)
+            assert gaps.min() > 1e-6
 
     def test_zero_horizon_returns_grid(self):
         grid = flows.sphere_grid(10, 3)

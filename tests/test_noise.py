@@ -1,8 +1,13 @@
+import ast
+import pathlib
+import weakref
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from rqf import flows, noise
-from rqf.errors import ResourceCapError
+from rqf import noise
+from rqf.errors import NumericalError, ResourceCapError
 from rqf.noise import (
     BLOCK_STEPS,
     ArrayPath,
@@ -156,19 +161,59 @@ class TestScalarReads:
     @pytest.mark.parametrize("chunk", [1, 7, 1024, 1500])
     def test_reader_slices_equal_whole_block_draws(self, chunk, start):
         steps = 2600 - start
-        reader = noise._Reader(12, 4, start, steps, noise._SCALAR_DRAWS)
-        got = np.concatenate([reader.read(min(chunk, steps - p), 0.01)[0] for p in range(0, steps, chunk)])
-        assert np.array_equal(got, _scalar_reference(12, 4, 2600, 0.01)[start:])
-        assert not reader.rngs  # a path read to its end holds no generator
+        reader = noise._read(12, 4, start, steps, chunk, noise._SCALAR_DRAWS, 0.01)
+        slices = [next(reader)[0] for _ in range(0, steps, chunk)]
+        assert [len(s) for s in slices] == [min(chunk, steps - p) for p in range(0, steps, chunk)]
+        assert np.array_equal(np.concatenate(slices), _scalar_reference(12, 4, 2600, 0.01)[start:])
+        # a read delivered to its end holds no generator
+        assert reader.gi_frame.f_locals["rngs"] == [[]]
+        assert next(reader, None) is None
 
     def test_lockstep_rows_equal_single_reads(self):
         # 300-step slices of four replicates; the fourth slice crosses the seam
-        slices = list(flows._Replicates(12, 3, 4, 0.01, 1100, 300, noise._SCALAR_DRAWS).blocks())
+        slices = list(noise._Replicates(12, 3, 4, 0.01, 1100, 300, noise._SCALAR_DRAWS).blocks())
         assert [db.shape for db, _ in slices] == [(4, 300)] * 3 + [(4, 200)]
         assert all(dw is None for _, dw in slices)
         stacked = np.concatenate([db for db, _ in slices], axis=1)
         for i in range(4):
             assert np.array_equal(stacked[i], scalar_increments(12, 1100, 0.01, stream=3 + i))
+
+    def test_lockstep_read_from_an_offset_crosses_the_seam(self):
+        # three streams with dW from step 1000 in 30-step slices: the first
+        # slice crosses step 1024, and each stream skips its prefix once
+        slices = list(noise._read(21, 5, 1000, 100, 30, noise._draws(3, True), 0.01, count=3))
+        assert [db.shape for db, _ in slices] == [(3, 30, 3, 3)] * 3 + [(3, 10, 3, 3)]
+        assert [dw.shape for _, dw in slices] == [(3, 30, 3)] * 3 + [(3, 10, 3)]
+        db = np.concatenate([db for db, _ in slices], axis=1)
+        dw = np.concatenate([dw for _, dw in slices], axis=1)
+        for i in range(3):
+            ref_db, ref_dw = _whole_block_reference(shift_path(NoisePath(21, 3, 0.01, 1100, True, stream=5 + i), 1000))
+            assert np.array_equal(db[i], ref_db)
+            assert np.array_equal(dw[i], ref_dw)
+
+    def test_suspended_reader_holds_no_slice(self):
+        reader = noise._Replicates(12, 3, 4, 0.01, 1100, 300, noise._draws(2, True)).blocks()
+        db, dw = next(reader)
+        refs = [weakref.ref(db), weakref.ref(dw)]
+        del db, dw
+        assert all(ref() is None for ref in refs)
+        assert next(reader)[0].shape == (4, 300, 2, 2)
+
+
+class TestIntake:
+    def test_increments_are_the_symmetrized_blocks(self):
+        path = NoisePath(40, 3, 0.01, 1500, True, stream=2)
+        for (dq, dw), (db, dw0) in zip(noise._increments(path), path.blocks()):
+            assert np.array_equal(dq, symmetrize(db))
+            assert np.array_equal(dw, dw0)
+
+    def test_non_finite_dw_names_seed_stream_and_step(self):
+        # a stack of two keyed replicates whose second one has NaN in dW at step 7
+        db, dw = np.zeros((2, 20, 3, 3)), np.zeros((2, 20, 3))
+        dw[1, 7, 0] = np.nan
+        path = SimpleNamespace(seed=3, stream=5, blocks=lambda: iter([(db, dw)]))
+        with pytest.raises(NumericalError, match=r"at step 7 \(seed 3, stream 6\)$"):
+            list(noise._increments(path))
 
 
 class TestSubstreams:
@@ -289,3 +334,19 @@ def test_noise_path_header_roundtrip():
     h = p.header()
     q = NoisePath(h["seed"], h["n"], h["dt"], h["steps"], h["with_vector"], h["stream"], h["offset"])
     assert np.array_equal(q.matrix_increments, p.matrix_increments)
+
+
+def test_only_noise_builds_keys_or_symmetrizes():
+    # every draw and every dQ comes from rqf.noise: no other module may
+    # construct a numpy generator or bit generator, or symmetrize dB itself
+    offenders = []
+    for source in sorted(pathlib.Path(noise.__file__).parent.glob("*.py")):
+        if source.name == "noise.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in {"Philox", "Generator", "default_rng", "symmetrize"}:
+                    offenders.append(f"{source.name}:{node.lineno} {name}")
+    assert not offenders
