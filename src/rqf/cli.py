@@ -473,6 +473,10 @@ def _steps(cfg: RunConfig) -> int | None:
 def run(cfg: RunConfig, threads: int | None = None) -> dict:
     """Execute one experiment (``threads`` is ignored); write outputs and the manifest; return it.
 
+    Every experiment steps on the calling thread; a batched run's large
+    noise reads draw one slice ahead on a helper thread of their own,
+    whatever ``threads`` says.
+
     Next to ``wall_time_s`` the manifest records the dt grid actually
     stepped, ``steps`` and ``T_simulated`` = steps * dt, which can differ
     from T when T is not a multiple of dt.  Neither is hashed.
@@ -524,7 +528,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="override the output directory")
     parser.add_argument("--no-svg", action="store_true", help="skip SVG plot emission")
     parser.add_argument("--threads", type=int, default=None,
-                        help="accepted and ignored; every experiment runs on one thread")
+                        help="accepted and ignored; every experiment steps on one thread, and large "
+                             "batched noise reads draw one slice ahead on one helper thread")
     args = parser.parse_args(argv)
 
     if args.experiment == "validate":

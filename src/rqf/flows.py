@@ -125,7 +125,7 @@ def _advance(states: np.ndarray, path, q_scale: float, w_scale, on_step=None) ->
             k += 1
             if on_step is not None:
                 on_step(k, states)
-        del dq_block  # freed before the next block is drawn
+        del dq_block, dw_block  # not held while the next block is awaited
     return max_defect
 
 
@@ -272,11 +272,17 @@ def batch_finals(
     so replicate r equals ``simulate_coupled(initials, ..., stream=r)``
     member for member, bit for bit.  Replicates are advanced together in
     spans, one batched Heun step per time step and span.  ``chunk_bytes``
-    bounds the noise slice in flight: a slice holds a span's increments
-    for as many steps as fit, at most one 1024-step block.  A span holds
-    every replicate unless its slices would then be shorter than 64 steps
-    (or than the run).  ``threads`` is accepted and ignored: the batched
-    step holds the GIL, so a second thread only slows it.
+    sizes the noise slices: a slice holds a span's increments for as many
+    steps as fit, at most one 1024-step block.  A span holds every
+    replicate unless its slices would then be shorter than 64 steps (or
+    than the run).  A slice of 1 MiB or more is read in halves, the next
+    half drawn and symmetrized on a helper thread while this thread steps
+    the current one (``noise._increments``), so about 1.5 * ``chunk_bytes``
+    of noise is in flight; a smaller slice is read on this thread, next to
+    its symmetrized dQ, about 2 * ``chunk_bytes``.  Either way the reader
+    also keeps each replicate's generators, under 1.5 KB each per block.
+    ``threads`` is accepted and ignored: the batched step holds the GIL,
+    so further stepping threads only slow it.
 
     ``sigma_w`` is one value or one value per initial state.  Members with
     different ``sigma_w`` share each replicate's dB and dW, and member i
@@ -367,7 +373,8 @@ def simulate_phase(phi0: float, T: float, dt: float, seed: int, *, stream: int =
 
 
 # bytes of one dB slice of phase_finals; its dQ adds as much while it is
-# symmetrized, and its two driver arrays half that
+# symmetrized, and its du and dv arrays half that (a slice of 1 MiB or more
+# is read ahead in halves, see batch_finals)
 _PHASE_CHUNK_BYTES = 1 << 26
 
 

@@ -134,6 +134,11 @@ def simulate_z(z0: float, T: float, dt: float, seed: int, stream: int = 0) -> ZT
 # bytes of one noise slice of simulate_z_finals; a z step costs little next
 # to a replicate's read, so its spans keep whole-block slices
 _Z_CHUNK_BYTES = 1 << 25
+# steps read from one contiguous transposed copy: a step's column of a
+# (replicates, size) slice is strided by a whole slice row, which aliases in
+# cache at 512- and 1024-step slices, and a transposed copy of the whole
+# slice would double the noise in flight
+_Z_COLUMNS = 16
 
 
 def simulate_z_finals(z0, T: float, dt: float, seed: int, replicates: int) -> np.ndarray:
@@ -158,9 +163,10 @@ def simulate_z_finals(z0, T: float, dt: float, seed: int, replicates: int) -> np
     for lo, hi, size in _spans(replicates, steps, 8, _Z_CHUNK_BYTES, noise.BLOCK_STEPS):
         z = np.repeat(z0[..., None], hi - lo, axis=-1)
         for db, _ in noise._Replicates(seed, lo, hi - lo, dt, steps, size, noise._SCALAR_DRAWS).blocks():
-            for k in range(db.shape[1]):
-                z += _em_z_increment(z, db[:, k], dt)
-                np.clip(z, -1.0, 1.0, out=z)
+            for j in range(0, db.shape[1], _Z_COLUMNS):
+                for dbk in np.ascontiguousarray(db[:, j : j + _Z_COLUMNS].T):
+                    z += _em_z_increment(z, dbk, dt)
+                    np.clip(z, -1.0, 1.0, out=z)
         finals[..., lo:hi] = z
     return finals
 

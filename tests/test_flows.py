@@ -1,4 +1,6 @@
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -381,6 +383,82 @@ class TestBatchFinals:
         fin = flows.batch_finals(E1[None, :], 0.3, 1e-3, 79, 3)
         assert np.array_equal(snap[-1], fin)
         assert np.array_equal(snap[0], np.broadcast_to(E1, snap[0].shape))
+
+
+PAIR = np.stack([E1, E2])
+
+# runs whose replicate reads are read ahead once the threshold is 0: one wide
+# span whose 1100 steps cross the block seam, spans of 2 + 1 replicates on
+# 64-step slices, 1-step slices that cannot be halved, a bias scan with one
+# sigma_w per member and checkpoints on both sides of the seam, and the
+# circle model
+AHEAD_RUNS = {
+    "wide": lambda: flows.batch_finals(PAIR, 1.1, 1e-3, 43, 3),
+    "spans": lambda: flows.batch_finals(PAIR, 1.1, 1e-3, 43, 3, chunk_bytes=2 * 64 * 72),
+    "one-step": lambda: flows.batch_finals(PAIR, 0.05, 1e-3, 43, 3, chunk_bytes=8),
+    "scan": lambda: flows.batch_finals(np.tile(PAIR, (3, 1)), 1.1, 1e-3, 84, 3,
+                                       sigma_w=np.repeat([0.0, 0.5, 4.0], 2), chunk_bytes=2 * 64 * 96,
+                                       checkpoints=[0.3, 1.024, 1.025, 1.1]),
+    "phase": lambda: flows.phase_finals(0.3, 1.1, 1e-3, 85, 5),
+}
+
+
+class TestReadAhead:
+    @pytest.mark.parametrize("run", AHEAD_RUNS.values(), ids=AHEAD_RUNS.keys())
+    def test_read_ahead_equals_serial_bit_exact(self, monkeypatch, run):
+        before = threading.active_count()
+        monkeypatch.setattr(noise, "_PREFETCH_BYTES", math.inf)
+        serial = run()
+        reads = []
+        ahead = noise._ahead
+        monkeypatch.setattr(noise, "_ahead", lambda slices: reads.append(slices) or ahead(slices))
+        monkeypatch.setattr(noise, "_PREFETCH_BYTES", 0)
+        assert np.array_equal(run(), serial)
+        assert reads
+        assert threading.active_count() == before
+
+    def test_non_finite_increment_on_the_helper_names_the_serial_step(self, monkeypatch):
+        # NaN in dB of replicate 4 at step 700; 13824 bytes give spans of
+        # 3 + 3 replicates on 64-step slices, read ahead in 32-step halves
+        real = noise._slice
+        poisoned_on = []
+
+        def poisoned(seed, stream, rngs, start, take, *rest):
+            db, dw = real(seed, stream, rngs, start, take, *rest)
+            if stream <= 4 < stream + len(rngs) and start <= 700 < start + take:
+                db[4 - stream, 700 - start, 0, 1] = np.nan
+                poisoned_on.append(threading.current_thread())
+            return db, dw
+
+        monkeypatch.setattr(noise, "_slice", poisoned)
+        before = threading.active_count()
+        messages = []
+        for threshold in (math.inf, 0):
+            monkeypatch.setattr(noise, "_PREFETCH_BYTES", threshold)
+            with pytest.raises(NumericalError) as err:
+                flows.batch_finals(E1[None], 1.1, 1e-3, 86, 6, chunk_bytes=3 * 64 * 72)
+            messages.append(str(err.value))
+            assert threading.active_count() == before
+        assert messages == ["non-finite noise increment at step 700 (seed 86, stream 4)"] * 2
+        assert poisoned_on[0] is threading.main_thread()
+        assert poisoned_on[1] is not threading.main_thread()
+
+    @pytest.mark.parametrize("threshold, bound", [(noise._PREFETCH_BYTES, 1.5), (math.inf, 2.0)])
+    def test_noise_in_flight_within_its_stated_bound(self, monkeypatch, threshold, bound):
+        # 2000 replicates of 300 steps in 4 MiB chunks: spans of 667 on 87-step
+        # slices of 4.18 MB, read ahead in 43-step halves or serially.  The
+        # peak allows the stated bound, the reader's generators (under 1.5 KB
+        # each), the output and a few state-sized arrays of the Heun step
+        chunk_bytes, width = 1 << 22, 667
+        assert flows._spans(2000, 300, 72, chunk_bytes)[0] == (0, width, 87)
+        monkeypatch.setattr(noise, "_PREFETCH_BYTES", threshold)
+        tracemalloc.start()
+        try:
+            out = flows.batch_finals(E1[None], 3.0, 0.01, 87, 2000, chunk_bytes=chunk_bytes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * chunk_bytes + width * 1536 + out.nbytes + 16 * width * 3 * 8
 
 
 class TestSimulatePhase:

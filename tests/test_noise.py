@@ -1,5 +1,7 @@
 import ast
 import pathlib
+import threading
+import time
 import weakref
 from types import SimpleNamespace
 
@@ -214,6 +216,79 @@ class TestIntake:
         path = SimpleNamespace(seed=3, stream=5, blocks=lambda: iter([(db, dw)]))
         with pytest.raises(NumericalError, match=r"at step 7 \(seed 3, stream 6\)$"):
             list(noise._increments(path))
+
+    def test_large_replicate_reads_are_drawn_ahead_in_half_slices(self, monkeypatch):
+        # a read whose 300-step slices reach the threshold is served in
+        # 150-step slices drawn off the calling thread, with the bits of
+        # the serial read; one byte less keeps it serial
+        path = noise._Replicates(40, 2, 3, 0.01, 1100, 300, noise._draws(3, True))
+        full = 3 * 300 * noise.step_bytes(3, True)
+        drawn_on = []
+        real = noise._slice
+        monkeypatch.setattr(noise, "_slice", lambda *a: drawn_on.append(threading.current_thread()) or real(*a))
+        reads = []
+        for threshold in (full, full + 1):
+            monkeypatch.setattr(noise, "_PREFETCH_BYTES", threshold)
+            reads.append(list(noise._increments(path)))
+        ahead, serial = reads
+        assert [dq.shape[1] for dq, _ in ahead] == [150] * 7 + [50]
+        assert [dq.shape[1] for dq, _ in serial] == [300] * 3 + [200]
+        for i in (0, 1):
+            assert np.array_equal(np.concatenate([s[i] for s in ahead], axis=1),
+                                  np.concatenate([s[i] for s in serial], axis=1))
+        assert threading.main_thread() not in drawn_on[:8]
+        assert drawn_on[8:] == [threading.main_thread()] * 4
+
+
+def _wait_for(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+class TestAhead:
+    def test_starts_exactly_one_item_ahead_of_the_caller(self):
+        started = []
+
+        def items():
+            for k in range(4):
+                started.append(k)
+                yield k
+
+        for k in noise._ahead(items()):
+            # while the caller holds item k the helper starts item k + 1,
+            # and nothing further however long the caller takes
+            _wait_for(lambda: len(started) > min(k + 1, 3))
+            time.sleep(0.01)
+            assert started == list(range(min(k + 2, 4)))
+
+    def test_helper_error_raised_when_its_item_is_asked_for(self):
+        def items():
+            yield 0
+            raise NumericalError("item 1")
+
+        it = noise._ahead(items())
+        assert next(it) == 0
+        with pytest.raises(NumericalError, match="item 1"):
+            next(it)
+        assert next(it, None) is None
+
+    def test_closing_early_joins_the_helper_and_closes_the_source(self):
+        closed = []
+
+        def items():
+            try:
+                yield from range(10)
+            finally:
+                closed.append(True)
+
+        before = threading.active_count()
+        it = noise._ahead(items())
+        assert next(it) == 0
+        assert threading.active_count() == before + 1
+        it.close()
+        assert threading.active_count() == before
+        assert closed == [True]
 
 
 class TestSubstreams:
