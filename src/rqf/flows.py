@@ -98,35 +98,45 @@ def _step_count(T: float, dt: float) -> int:
     return _steps_to(T, dt)
 
 
+# the loop's per-step norm check; the bare reductions skip the argument
+# handling of ndarray.min and .max, a tenth of a microsecond per call
+_lowest, _highest = np.minimum.reduce, np.maximum.reduce
+
+
 def _advance(states: np.ndarray, path, q_scale: float, w_scale, on_step=None) -> float:
     """Heun-advance ``states`` (..., m, n) in place through ``path``; returns the max defect.
 
     ``path.blocks()`` yields ``(dB, dW)`` blocks whose leading axes match
     those of ``states`` ahead of the step axis, so all m members of a
     replicate consume that replicate's increment; they are read as
-    ``(dQ, dW)`` through ``noise._increments``.  ``w_scale`` is a float
-    or an (m, 1) column (see ``integrators._scales``); the run reads dW
-    only if some member's is nonzero.  ``on_step(k, states)`` runs after
-    the k-th step and may change ``states`` in place.
+    ``(q_scale dQ, dW)`` through ``noise._increments``, which scales dQ as
+    it symmetrizes it.  ``w_scale`` is a float or an (m, 1) column (see
+    ``integrators._scales``); the run reads dW only if some member's is
+    nonzero.  A non-finite or zero norm raises before the states are
+    renormalized.  ``on_step(k, states)`` runs after the k-th step and may
+    change ``states`` in place.
     """
     vector = bool(np.any(w_scale != 0.0))  # decided once, not per step
-    max_defect = 0.0
+    lows, highs = [1.0], [1.0]  # each step's extreme norms, reduced per block
     k = 0
-    for dq_block, dw_block in noise._increments(path):
+    for dq_block, dw_block in noise._increments(path, q_scale):
         for j in range(dq_block.shape[-3]):
             dw = dw_block[..., j, :] if vector else None
-            out, norms = _heun_step(states, dq_block[..., j, :, :], dw, q_scale, w_scale)
-            lo, hi = float(norms.min()), float(norms.max())
-            if not 0.0 < lo <= hi < math.inf:
-                bad = ~(np.isfinite(norms) & (norms > 0.0)).all(axis=-1)
+            out, norms = _heun_step(states, dq_block[..., j, :, :], dw, w_scale)
+            lo, hi = _lowest(norms, None), _highest(norms, None)
+            if not (lo > 0.0 and hi < math.inf):
+                bad = ~(np.isfinite(norms) & (norms > 0.0)).all(axis=(-2, -1))
                 raise noise._located(path, "non-finite or zero state", k, bad)
-            max_defect = max(max_defect, hi - 1.0, 1.0 - lo)
-            np.divide(out, norms[..., None], out=states)
+            lows.append(lo)
+            highs.append(hi)
+            np.divide(out, norms, out=states)
             k += 1
             if on_step is not None:
                 on_step(k, states)
+        lows[:] = [min(lows)]
+        highs[:] = [max(highs)]
         del dq_block, dw_block  # not held while the next block is awaited
-    return max_defect
+    return max(float(highs[0]) - 1.0, 1.0 - float(lows[0]))
 
 
 def _unit_rows(initials) -> np.ndarray:
@@ -303,14 +313,14 @@ def batch_finals(
     if max(cp_steps, default=0) > steps or checkpoints is not None and min(checkpoints, default=0) < 0:
         raise ValueError(f"checkpoints must lie in [0, T={T}]")
     out = np.empty((len(cp_steps), replicates, m, n))
-    at: dict[int, list[int]] = {}
+    at: dict[int, list[int]] = {}  # step -> the output rows it fills
     for i, k in enumerate(cp_steps):
         at.setdefault(k, []).append(i)
     for lo, hi, size in spans:
 
         def snapshot(k, states, lo=lo, hi=hi):
-            if k in at:
-                out[at[k], lo:hi] = states
+            for i in at.get(k, ()):
+                out[i, lo:hi] = states  # an int and a slice: no index array per step
 
         states = np.broadcast_to(arr, (hi - lo, m, n)).copy()
         snapshot(0, states)

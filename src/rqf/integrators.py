@@ -55,34 +55,41 @@ def _scales(sigma_q: float, sigma_w, sign: float, members: int | None = None):
     return float(sign) * sigma_q, float(sign) * sigma_w
 
 
-def _field(states, dq, dw, q_scale: float, w_scale) -> np.ndarray:
-    # states (..., m, n), dq (..., n, n) symmetric, dw (..., n) or None for
-    # no vector term; w_scale is a float or an (m, 1) column.  The result is
-    # tangent at every state by construction
-    dqy = states @ dq
-    s = np.einsum("...mi,...mi->...m", states, dqy)
-    f = q_scale * (dqy - s[..., None] * states)
+def _field(states, dq, dw, w_scale):
+    # states (..., m, n), dq (..., n, n) symmetric and already scaled by
+    # q_scale, dw (..., n) or None for no vector term; w_scale is a float or
+    # an (m, 1) column.  Every row reduces through np.vecdot, whose bits for
+    # a row do not depend on the stack around it.  The result is tangent at
+    # every state by construction
+    f = states @ dq
+    f -= np.vecdot(states, f, keepdims=True) * states
     if dw is not None:
-        proj = np.einsum("...mi,...i->...m", states, dw)
-        f = f + w_scale * (dw[..., None, :] - proj[..., None] * states)
+        dw = dw[..., None, :]
+        g = dw - np.vecdot(states, dw, keepdims=True) * states
+        g *= w_scale
+        f += g
     return f
 
 
-def _heun_step(states, dq, dw, q_scale: float, w_scale):
-    """One Heun step of dX = q_scale P_X dQ X + w_scale P_X dW for (..., m, n) states.
+def _heun_step(states, dq, dw, w_scale):
+    """One Heun step of dX = P_X dQ X + w_scale P_X dW for (..., m, n) states.
 
-    Returns the corrected states before renormalization and their norms;
+    ``dq`` already carries the field's q_scale (the trajectory loop has the
+    noise intake scale it as it symmetrizes each block).  Returns the
+    corrected states before renormalization and their (..., m, 1) norms;
     every member of a replicate consumes that replicate's increment.
     """
-    f1 = _field(states, dq, dw, q_scale, w_scale)
-    f2 = _field(states + f1, dq, dw, q_scale, w_scale)
-    out = states + 0.5 * (f1 + f2)
-    return out, np.sqrt(np.einsum("...mi,...mi->...m", out, out))
+    f1 = _field(states, dq, dw, w_scale)
+    f2 = _field(states + f1, dq, dw, w_scale)
+    f2 += f1
+    f2 *= 0.5
+    f2 += states
+    return f2, np.sqrt(np.vecdot(f2, f2, keepdims=True))
 
 
 def _single_step(x, dq, dw, q_scale: float, w_scale: float) -> StepResult:
-    out, norms = _heun_step(np.asarray(x, dtype=float)[None, :], dq, dw, q_scale, w_scale)
-    nrm = float(norms[0])
+    out, norms = _heun_step(np.asarray(x, dtype=float)[None, :], q_scale * np.asarray(dq, dtype=float), dw, w_scale)
+    nrm = float(norms[0, 0])
     if not np.isfinite(nrm) or nrm == 0.0:
         raise NumericalError("step produced a non-finite or zero state")
     return StepResult(state=out[0] / nrm, renorm_defect=abs(nrm - 1.0))
@@ -137,29 +144,36 @@ def _em_z_increment(z, db, dt: float):
     return 2.0 * z * one_minus * dt + _SQRT2 * one_minus * db
 
 
-def dqf_exact(m: np.ndarray, x0: np.ndarray, t: float) -> np.ndarray:
+def dqf_exact(m: np.ndarray, x0: np.ndarray, t) -> np.ndarray:
     """Exact solution exp(tM) x0 / ||exp(tM) x0|| of the quadratic gradient flow.
 
     Uses the symmetric eigendecomposition with the spectrum shifted by the
     top eigenvalue, so large t cannot overflow (the shift cancels under
-    normalization).
+    normalization).  ``t`` is one time, giving shape (n,), or a 1-D array
+    of times, giving (len(t), n) from one decomposition of M.
     """
-    if t < 0:
+    times = np.asarray(t, dtype=float)
+    if np.any(times < 0):
         raise ValueError("t must be >= 0")
     m = np.asarray(m, dtype=float)
     x0 = np.asarray(x0, dtype=float)
-    if t == 0.0:
-        return x0.copy()
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    coeffs = np.exp((w - w[-1]) * t) * (v.T @ x0)
-    y = v @ coeffs
-    nrm = float(np.linalg.norm(y))
-    if not np.isfinite(nrm) or nrm == 0.0:
-        raise NumericalError("exp(tM) x0 vanished; x0 has no component on the surviving eigenspace")
-    return y / nrm
+    if np.any(times != 0.0):
+        try:
+            w, v = np.linalg.eigh(m)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+        shifted, weights = w - w[-1], v.T @ x0
+    out = np.empty((times.size, *x0.shape))
+    for i, s in enumerate(times.reshape(-1)):
+        if s == 0.0:
+            out[i] = x0
+            continue
+        y = v @ (np.exp(shifted * s) * weights)
+        nrm = float(np.linalg.norm(y))
+        if not np.isfinite(nrm) or nrm == 0.0:
+            raise NumericalError("exp(tM) x0 vanished; x0 has no component on the surviving eigenspace")
+        out[i] = y / nrm
+    return out.reshape(*times.shape, *x0.shape)
 
 
 def dominant_eigenspace(m: np.ndarray, gap_tol: float = 1e-10):

@@ -18,9 +18,10 @@ Matrix increments dB have iid Normal(0, dt) entries; the symmetrized
 increment dQ = (dB + dB^T)/2 then has Var(dQ_ii) = dt and
 Var(dQ_ij) = dt/2, i.e. dQ ~ sqrt(dt/2) * GOE.  Every stepper reads dQ
 through one intake, ``_increments``, which checks each block finite and
-symmetrizes it.  Vector increments dW are keyed in their own domain, so
-a path's dB is the same with or without dW, and reading dW never draws
-dB; seeded initial grids have a domain of their own too.
+symmetrizes it, scaled by the stepper's field scale in the same pass.
+Vector increments dW are keyed in their own domain, so a path's dB is
+the same with or without dW, and reading dW never draws dB; seeded
+initial grids have a domain of their own too.
 
 Keys make a slice's bits independent of the thread that draws it.  A
 batched replicate read whose slices hold 1 MiB or more therefore draws,
@@ -343,16 +344,18 @@ def shift_path(path: NoisePath, k: int) -> NoisePath:
     )
 
 
-def symmetrize(db) -> np.ndarray:
-    """Symmetric part (dB + dB^T) / 2; exact symmetry, linear in the input.
+def symmetrize(db, scale: float = 1.0) -> np.ndarray:
+    """Symmetric part (dB + dB^T) / 2, times ``scale``; exact symmetry, linear in the input.
 
-    Works on a single matrix or on a stacked (..., n, n) batch.
+    Works on a single matrix or on a stacked (..., n, n) batch.  The sum
+    is multiplied by scale / 2 in one pass; with scale = +-1 that is
+    bit-for-bit the halved sum, negated for -1.
     """
     db = np.asarray(db, dtype=float)
     if db.ndim < 2 or db.shape[-1] != db.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {db.shape}")
     out = db + np.swapaxes(db, -1, -2)
-    out /= 2.0
+    out *= 0.5 * scale
     return out
 
 
@@ -366,8 +369,8 @@ def _located(path, what: str, step: int, bad) -> NumericalError:
     return NumericalError(msg)
 
 
-def _increments(path):
-    """Yield ``(dQ, dW)`` per block of ``path.blocks()``, dQ = symmetrize(dB).
+def _increments(path, scale: float = 1.0):
+    """Yield ``(dQ, dW)`` per block of ``path.blocks()``, dQ = symmetrize(dB, scale).
 
     The one way a stepper reads matrix noise.  Each block is checked first:
     a non-finite dB or dW entry raises NumericalError naming its step (and,
@@ -384,11 +387,11 @@ def _increments(path):
     if isinstance(path, _Replicates):
         step = 8 * sum(math.prod(shape) for shape, _ in path.draws)  # bytes of one stream's step
         if path.count * path.size * step >= _PREFETCH_BYTES:
-            return _ahead(_checked(replace(path, size=max(1, path.size // 2))))
-    return _checked(path)
+            return _ahead(_checked(replace(path, size=max(1, path.size // 2)), scale))
+    return _checked(path, scale)
 
 
-def _checked(path):
+def _checked(path, scale):
     k = 0
     for db, dw in path.blocks():
         finite = np.isfinite(db).all(axis=(-2, -1))
@@ -398,7 +401,7 @@ def _checked(path):
             j = int(np.argwhere(~finite)[:, -1].min())
             raise _located(path, "non-finite noise increment", k + j, ~finite[..., j])
         k += finite.shape[-1]
-        dq = symmetrize(db)
+        dq = symmetrize(db, scale)
         del db  # stepping needs only the symmetrized block
         yield dq, dw
         del dq, dw  # freed before the next block is drawn

@@ -9,6 +9,7 @@ from rqf import flows, noise, zprocess
 from rqf.diagnostics import ks_critical_value, ks_two_sample
 from rqf.errors import NumericalError
 from rqf.geometry import random_unit_vector, unit_vector
+from rqf.integrators import _heun_step
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -229,7 +230,123 @@ class TestNonFiniteReporting:
             flows.simulate_coupled([E1, E2], 0.3, 1e-2, 0, path=path)
 
 
+class _StackedPath:
+    """Keyed stand-in for a replicate read: dB of shape (R, steps, n, n) in 1024-step blocks."""
+
+    seed = 11
+    stream = 4
+
+    def __init__(self, db):
+        self.db = db
+
+    def blocks(self):
+        for pos in range(0, self.db.shape[1], noise.BLOCK_STEPS):
+            yield self.db[:, pos : pos + noise.BLOCK_STEPS], None
+
+
+def _reference_advance(states, path, q_scale, w_scale):
+    # the loop spelled out step by step: worst defect per step, in floats
+    worst = 0.0
+    vector = bool(np.any(w_scale != 0.0))
+    for dq_block, dw_block in noise._increments(path, q_scale):
+        for j in range(dq_block.shape[-3]):
+            out, norms = _heun_step(states, dq_block[..., j, :, :], dw_block[..., j, :] if vector else None, w_scale)
+            worst = max(worst, float(norms.max()) - 1.0, 1.0 - float(norms.min()))
+            states = out / norms
+    return states, worst
+
+
+class TestNormCheck:
+    # each step's norms are checked before the states are renormalized, so
+    # no on_step hook sees a state whose norm was NaN or infinite; the worst
+    # defect is reduced per block.  (A zero norm cannot be reached through a
+    # step: the field is tangent, so the corrected state has norm >= 1 up
+    # to rounding.)  A noise entry of 1e40 leaves the corrected state finite
+    # with a squared norm past the float range (infinite norm), 1e200
+    # overflows the state itself (NaN norm).
+
+    @staticmethod
+    def _hook(seen):
+        def on_step(k, states):
+            assert np.isfinite(states).all() and (np.linalg.norm(states, axis=-1) > 0.5).all()
+            seen.append(k)
+
+        return on_step
+
+    @pytest.mark.parametrize("size", [1e40, 1e200], ids=["inf-norm", "nan-norm"])
+    @pytest.mark.parametrize("bad_step", [500, noise.BLOCK_STEPS - 1, noise.BLOCK_STEPS + 3])
+    def test_bad_norm_raises_at_its_step_before_the_hook(self, size, bad_step):
+        db = np.zeros((1500, 3, 3))
+        db[bad_step] = size
+        path = noise.ArrayPath(dt=1e-3, matrix_increments=db)
+        seen = []
+        states = np.stack([E1, E2])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match=rf"non-finite or zero state at step {bad_step}$"):
+            flows._advance(states, path, -1.0, 0.0, self._hook(seen))
+        assert seen[-1] == bad_step
+        assert np.isfinite(states).all()
+
+    @pytest.mark.parametrize("size", [1e40, 1e200], ids=["inf-norm", "nan-norm"])
+    def test_bad_norm_in_one_replicate_names_its_stream(self, size):
+        db = np.zeros((64, 1100, 3, 3))
+        db[37, 700] = size
+        seen = []
+        states = np.broadcast_to(E1, (64, 1, 3)).copy()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match=r"state at step 700 \(seed 11, stream 41\)$"):
+            flows._advance(states, _StackedPath(db), -1.0, 0.0, self._hook(seen))
+        assert seen[-1] == 700
+
+    @pytest.mark.parametrize("case", ["one path", "replicates with dW"])
+    def test_max_defect_equals_per_step_reference_bit_exact(self, case):
+        if case == "one path":
+            path = noise.generate_path(902, 5, 0.02, 1500, materialize=False)
+            initial = np.stack([unit_vector(np.arange(1.0, 6.0)), unit_vector(np.ones(5))])
+            q_scale, w_scale = -1.0, 0.0
+        else:
+            path = noise._Replicates(903, 0, 7, 0.05, 1100, 300, noise._draws(3, True))
+            initial = np.broadcast_to(np.stack([E1, E2, unit_vector(np.ones(3))]), (7, 3, 3))
+            q_scale, w_scale = -0.7, -np.array([[0.0], [0.5], [4.0]])
+        expected, worst = _reference_advance(initial.copy(), path, q_scale, w_scale)
+        states = initial.copy()
+        got = flows._advance(states, path, q_scale, w_scale)
+        assert worst > 1e-6
+        assert got == worst
+        assert np.array_equal(states, expected)
+
+    @pytest.mark.parametrize("at", [0, noise.BLOCK_STEPS - 1, noise.BLOCK_STEPS, 2 * noise.BLOCK_STEPS - 1])
+    @pytest.mark.parametrize("side", ["high", "low"])
+    def test_max_defect_of_one_step_at_a_block_edge(self, at, side):
+        # one nonzero increment at the first or last step of a block; the
+        # members are those whose norm after it lies above 1 (or below), so
+        # the run's worst defect is that step's, on that side
+        rng = np.random.default_rng(31)
+        db = np.zeros((2 * noise.BLOCK_STEPS, 3, 3))
+        db[at] = noise.symmetrize(rng.standard_normal((3, 3)) * 0.3)
+        pool = rng.standard_normal((64, 3))
+        pool /= np.linalg.norm(pool, axis=-1, keepdims=True)
+        _, norms = _heun_step(pool, -db[at], None, 0.0)
+        initial = pool[(norms[:, 0] > 1.0) == (side == "high")]
+        assert len(initial) >= 8
+        path = noise.ArrayPath(dt=1e-3, matrix_increments=db)
+        _, worst = _reference_advance(initial.copy(), path, -1.0, 0.0)
+        assert worst > 1e-4
+        assert flows._advance(initial.copy(), path, -1.0, 0.0) == worst
+
+
 class TestBatchFinals:
+    def test_every_step_checkpointed_across_spans_bit_exact(self):
+        # as in `rqf simulate`: a checkpoint at every step, in spans of
+        # 2 + 1 replicates
+        dt = 1e-3
+        pair = np.stack([E1, E2])
+        snaps = flows.batch_finals(pair, 0.05, dt, 44, 3, chunk_bytes=7200, checkpoints=dt * np.arange(51))
+        assert len(flows._spans(3, 50, noise.step_bytes(3, False), 7200)) == 2
+        for r in range(3):
+            ens = flows.simulate_coupled(pair, 0.05, dt, 44, stream=r)
+            assert np.array_equal(snaps[:, r], np.stack([member.states for member in ens.members], axis=1))
+
     @pytest.mark.parametrize("sigma_w", [0.0, 0.5])
     def test_block_seam_matches_single_runs_bit_exact(self, sigma_w):
         # 1536 steps cross the 1024-step noise block; checkpoints sit on

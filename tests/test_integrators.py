@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from rqf.errors import NumericalError
 from rqf.geometry import random_unit_vector
 from rqf.integrators import (
+    _heun_step,
     dominant_eigenspace,
     dqf_exact,
     em_step_z,
@@ -49,6 +50,31 @@ class TestHeunStepRqf:
     def test_sign_validated(self):
         with pytest.raises(ValueError):
             heun_step_rqf(np.array([1.0, 0.0]), np.zeros((2, 2)), sign=0.5)
+
+
+class TestStackedStep:
+    # the batched step gives every replicate of an (R, m, n) stack the bits
+    # of that replicate's (m, n) members stepped alone, which is what keeps
+    # replicate r of batch_finals equal to simulate_coupled(stream=r); with
+    # m = 1 that is row by row.  (A member split off a larger stack is not
+    # covered: for n >= 4 its matmul takes another BLAS route.)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 64])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("vector", ["none", "scalar", "per-member"])
+    def test_stack_equals_replicates_bit_exact(self, n, m, vector):
+        rng = np.random.default_rng(1000 + n)
+        replicates = 6
+        states = rng.standard_normal((replicates, m, n))
+        states /= np.linalg.norm(states, axis=-1, keepdims=True)
+        # step 2 of a 4-step block, as the trajectory loop slices it
+        dq = symmetrize(rng.standard_normal((replicates, 4, n, n)) * 0.1, -1.0)[:, 2]
+        dw = None if vector == "none" else (rng.standard_normal((replicates, 4, n)) * 0.1)[:, 2]
+        w_scale = {"none": 0.0, "scalar": -0.5, "per-member": -np.array([[0.0], [0.5], [4.0]])[:m]}[vector]
+        out, norms = _heun_step(states, dq, dw, w_scale)
+        assert out.shape == (replicates, m, n) and norms.shape == (replicates, m, 1)
+        for r in range(replicates):
+            one, one_norms = _heun_step(states[r], dq[r], None if dw is None else dw[r], w_scale)
+            assert np.array_equal(one, out[r]) and np.array_equal(one_norms, norms[r])
 
 
 class TestHeunStepBias:
@@ -165,6 +191,25 @@ class TestDqfExact:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             dqf_exact(np.zeros((2, 2)), np.array([1.0, 0.0]), -1.0)
+        with pytest.raises(ValueError):
+            dqf_exact(np.zeros((2, 2)), np.array([1.0, 0.0]), [0.0, -1.0])
+
+    def test_times_array_matches_one_call_per_time_bit_exact(self, monkeypatch):
+        # one decomposition serves every sample time, and each row has the
+        # bits of the one-time call (t = 0 included)
+        rng = np.random.default_rng(23)
+        g = rng.standard_normal((4, 4))
+        m = (g + g.T) / 2.0
+        x0 = random_unit_vector(4, rng)
+        times = np.linspace(0.0, 20.0, 201)
+        single = [dqf_exact(m, x0, t) for t in times]
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        rows = dqf_exact(m, x0, times)
+        assert len(calls) == 1
+        assert rows.shape == (201, 4)
+        assert all(np.array_equal(row, one) for row, one in zip(rows, single))
+        assert dqf_exact(m, x0, []).shape == (0, 4)
 
 
 class TestDominantEigenspace:

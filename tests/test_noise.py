@@ -208,6 +208,9 @@ class TestIntake:
         for (dq, dw), (db, dw0) in zip(noise._increments(path), path.blocks()):
             assert np.array_equal(dq, symmetrize(db))
             assert np.array_equal(dw, dw0)
+        for (dq, dw), (db, dw0) in zip(noise._increments(path, -0.5), path.blocks()):
+            assert np.array_equal(dq, symmetrize(db, -0.5))
+            assert np.array_equal(dw, dw0)
 
     def test_non_finite_dw_names_seed_stream_and_step(self):
         # a stack of two keyed replicates whose second one has NaN in dW at step 7
@@ -355,6 +358,17 @@ class TestSymmetrize:
         for (i, j), (k, l) in pairs:
             rho = np.corrcoef(dq[:, i, j], dq[:, k, l])[0, 1]
             assert abs(rho) < 4 / np.sqrt(dq.shape[0])
+
+    def test_scale_is_exact_for_unit_signs(self):
+        # the steppers fold q_scale into the intake: +-1 give the bits of the
+        # halved sum, negated for -1; any other scale those of the halved sum
+        # times the scale
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal((10, 4, 4))
+        s = symmetrize(b)
+        assert np.array_equal(symmetrize(b, 1.0), s)
+        assert np.array_equal(symmetrize(b, -1.0), -s)
+        assert np.array_equal(symmetrize(b, -0.7), s * -0.7)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
