@@ -277,6 +277,11 @@ class LyapunovEstimate:
         }
 
 
+# smallest companion offset: unit-scale rounding errs by over 2e-4 of a
+# smaller one; 1e-17 is lost to it, and 1e-200 squared underflows to 0
+MIN_DELTA0 = 1e-12
+
+
 def _log_growth(distance: float, delta0: float) -> float:
     ratio = distance / delta0
     if not (1e-8 < ratio < 1e8):
@@ -299,7 +304,7 @@ def _benettin_phase(path, logs, spi, delta0):
             if k % spi == 0:
                 d = math.remainder(phi2 - phi1, 2.0 * math.pi)
                 logs[k // spi - 1] = _log_growth(abs(d), delta0)
-                phi2 = phi1 + math.copysign(delta0, d if d != 0.0 else 1.0)
+                phi2 = phi1 + math.copysign(delta0, d)
 
 
 def _benettin_sphere2(path, logs, spi, delta0, q_scale):
@@ -342,8 +347,6 @@ def _renorm2(x1, x2, y1, y2, delta0):
     dx = y1 - x1
     dy = y2 - x2
     d = math.sqrt(dx * dx + dy * dy)
-    if d == 0.0:
-        return _renorm2(x1, x2, x1 - x2 * delta0, x2 + x1 * delta0, delta0)
     c1 = x1 + (delta0 / d) * dx
     c2 = x2 + (delta0 / d) * dy
     inv = 1.0 / math.sqrt(c1 * c1 + c2 * c2)
@@ -398,6 +401,8 @@ def lyapunov_benettin(
     """
     if dt <= 0 or renorm_interval <= dt:
         raise ValueError("need renorm_interval > dt > 0")
+    if not delta0 >= MIN_DELTA0:
+        raise ValueError(f"delta0 must be >= {MIN_DELTA0}, got {delta0}")
     if T < 2 * renorm_interval:
         raise ValueError("need T >= 2 * renorm_interval")
     if model not in ("phase", "sphere"):

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import noise
-from .errors import ResourceCapError
 from .geometry import fibonacci_sphere, random_unit_vector, unit_vector
 from .integrators import _heun_step, _scales
 
@@ -238,29 +237,6 @@ def simulate_coupled(
 # -- batched Monte Carlo ------------------------------------------------------
 
 
-# replicates read their noise one at a time, so a slice shorter than this
-# many steps costs more in reads than one wide batch saves in step calls
-_MIN_SLICE = 64
-
-
-def _spans(replicates: int, steps: int, per_step: int, chunk_bytes: int, min_slice: int = _MIN_SLICE):
-    """``(lo, hi, size)`` per span: replicates lo..hi step together on slices of
-    ``size`` steps and at most ``chunk_bytes``, one span unless its slices would
-    be shorter than ``min(steps, min_slice)``; the spans are then equal."""
-    if replicates < 0 or chunk_bytes < 1:
-        raise ValueError("replicates must be >= 0 and chunk_bytes >= 1")
-    if steps * per_step > noise.DEFAULT_MEM_CAP:
-        raise ResourceCapError(
-            f"one replicate of {steps} steps draws {steps * per_step} bytes of increments "
-            f"(cap {noise.DEFAULT_MEM_CAP}); shorten the horizon"
-        )
-    fit = max(1, chunk_bytes // (per_step * max(1, min(steps, min_slice))))
-    count = max(1, -(-replicates // fit))
-    width = max(1, -(-replicates // count))  # equal spans of at most ``fit`` replicates
-    size = min(noise.BLOCK_STEPS, max(1, chunk_bytes // (width * per_step)))
-    return [(lo, min(lo + width, replicates), size) for lo in range(0, replicates, width)]
-
-
 def batch_finals(
     initials,
     T: float,
@@ -281,9 +257,10 @@ def batch_finals(
     passes through ``geometry.unit_vector``, as in ``simulate_coupled``,
     so replicate r equals ``simulate_coupled(initials, ..., stream=r)``
     member for member, bit for bit.  Replicates are advanced together in
-    spans, one batched Heun step per time step and span.  ``chunk_bytes``
-    sizes the noise slices: a slice holds a span's increments for as many
-    steps as fit, at most one 1024-step block.  A span holds every
+    spans, one batched Heun step per time step and span; the spans change
+    no bit of the result.  ``noise._spans`` cuts them and their noise
+    reads: a slice holds a span's increments for as many steps as fit in
+    ``chunk_bytes``, at most one 1024-step block, and a span holds every
     replicate unless its slices would then be shorter than 64 steps (or
     than the run).  A slice of 1 MiB or more is read in halves, the next
     half drawn and symmetrized on a helper thread while this thread steps
@@ -308,7 +285,7 @@ def batch_finals(
     q_scale, w_scale = _scales(sigma_q, sigma_w, sign, m)
     steps = _step_count(T, dt)
     with_vector = bool(np.any(w_scale != 0.0))
-    spans = _spans(replicates, steps, noise.step_bytes(n, with_vector), chunk_bytes)
+    reads = noise._spans(seed, replicates, dt, steps, noise._draws(n, with_vector), chunk_bytes)
     cp_steps = [steps] if checkpoints is None else [_steps_to(t, dt) for t in checkpoints]
     if max(cp_steps, default=0) > steps or checkpoints is not None and min(checkpoints, default=0) < 0:
         raise ValueError(f"checkpoints must lie in [0, T={T}]")
@@ -316,15 +293,14 @@ def batch_finals(
     at: dict[int, list[int]] = {}  # step -> the output rows it fills
     for i, k in enumerate(cp_steps):
         at.setdefault(k, []).append(i)
-    for lo, hi, size in spans:
+    for path in reads:
 
-        def snapshot(k, states, lo=lo, hi=hi):
+        def snapshot(k, states, rows=path.rows):
             for i in at.get(k, ()):
-                out[i, lo:hi] = states  # an int and a slice: no index array per step
+                out[i, rows] = states  # an int and a slice: no index array per step
 
-        states = np.broadcast_to(arr, (hi - lo, m, n)).copy()
+        states = np.broadcast_to(arr, (path.count, m, n)).copy()
         snapshot(0, states)
-        path = noise._Replicates(seed, lo, hi - lo, dt, steps, size, noise._draws(n, with_vector))
         _advance(states, path, q_scale, w_scale, snapshot)
     return out[0] if checkpoints is None else out
 
@@ -392,13 +368,13 @@ def phase_finals(phi0: float, T: float, dt: float, seed: int, replicates: int) -
     """Final wrapped angles over independent replicate substreams, stepped in ``batch_finals`` spans."""
     steps = _step_count(T, dt)
     finals = np.full(replicates, float(phi0) % TWO_PI)
-    for lo, hi, size in _spans(replicates, steps, noise.step_bytes(2, False), _PHASE_CHUNK_BYTES):
-        phi = finals[lo:hi]
-        for dq, _ in noise._increments(noise._Replicates(seed, lo, hi - lo, dt, steps, size, noise._draws(2, False))):
+    for path in noise._spans(seed, replicates, dt, steps, noise._draws(2, False), _PHASE_CHUNK_BYTES):
+        phi = finals[path.rows]
+        for dq, _ in noise._increments(path):
             du, dv = _phase_combos(dq)
             for k in range(du.shape[1]):
                 phi = np.mod(_phase_heun(phi, du[:, k], dv[:, k], np.sin, np.cos), TWO_PI)
-        finals[lo:hi] = phi
+        finals[path.rows] = phi
     return finals
 
 

@@ -58,9 +58,11 @@ def _scales(sigma_q: float, sigma_w, sign: float, members: int | None = None):
 def _field(states, dq, dw, w_scale):
     # states (..., m, n), dq (..., n, n) symmetric and already scaled by
     # q_scale, dw (..., n) or None for no vector term; w_scale is a float or
-    # an (m, 1) column.  Every row reduces through np.vecdot, whose bits for
-    # a row do not depend on the stack around it.  The result is tangent at
-    # every state by construction
+    # an (m, 1) column.  Every row reduces through np.vecdot, so a row's bits
+    # do not depend on the replicate axes stacked around it.  They can depend
+    # on the member count m: for n >= 4, ``states @ dq`` goes through BLAS
+    # gemv for one member and gemm for several, which round differently.
+    # The result is tangent at every state by construction
     f = states @ dq
     f -= np.vecdot(states, f, keepdims=True) * states
     if dw is not None:

@@ -12,7 +12,8 @@ gives
 * streaming reads: one generator, ``_read``, serves every key domain and
   reads consecutive streams in lockstep; it keeps each block's generator
   alive and draws a block only as far as it reads it, never a whole
-  block ahead.
+  block ahead; ``_spans`` cuts every Monte Carlo run's replicates into
+  those reads, on slices that fit one byte budget.
 
 Matrix increments dB have iid Normal(0, dt) entries; the symmetrized
 increment dQ = (dB + dB^T)/2 then has Var(dQ_ii) = dt and
@@ -35,6 +36,7 @@ threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,17 +52,20 @@ __all__ = [
     "scalar_block",
     "scalar_increments",
     "shift_path",
-    "step_bytes",
     "symmetrize",
 ]
 
 BLOCK_STEPS = 1024
 DEFAULT_MEM_CAP = 1 << 30  # 1 GiB
+# replicates read their noise one at a time, so a slice shorter than this
+# many steps costs more in reads than one wide batch saves in step calls
+_MIN_SLICE = 64
 # a replicate read whose slices hold at least this many bytes draws the next
 # slice on a helper thread while the caller steps the current one; below it,
 # the handoff costs more than the draw it hides
 _PREFETCH_BYTES = 1 << 20
 
+_MAX_SEED = 1 << 64
 _MAX_STREAM = 1 << 32
 _MAX_BLOCK = 1 << 30
 _MATRIX_DOMAIN = 0  # matrix increments dB
@@ -71,16 +76,14 @@ _GRID_DOMAIN = 3  # seeded initial grids (flows.sphere_grid)
 
 def _block_generator(seed: int, stream: int, block: int, domain: int) -> np.random.Generator:
     """Philox generator keyed by (seed, stream, block, domain)."""
+    seed = operator.index(seed)  # a float seed raises rather than truncates
+    if not 0 <= seed < _MAX_SEED:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     if not 0 <= stream < _MAX_STREAM:
         raise ValueError(f"stream must be in [0, 2^32), got {stream}")
     if not 0 <= block < _MAX_BLOCK:
         raise ValueError(f"block index out of range: {block}")
-    key = (
-        (int(seed) & 0xFFFFFFFFFFFFFFFF)
-        | (stream << 64)
-        | (block << 96)
-        | (domain << 126)
-    )
+    key = seed | (stream << 64) | (block << 96) | (domain << 126)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -142,6 +145,11 @@ def _draws(n: int, with_vector: bool):
     return (matrix, ((n,), _VECTOR_DOMAIN)) if with_vector else (matrix,)
 
 
+def _step_bytes(draws) -> int:
+    """Bytes of one stream's step of a read with these ``draws``."""
+    return 8 * sum(math.prod(shape) for shape, _ in draws)
+
+
 @dataclass(frozen=True)
 class _Replicates:
     """The (seed, stream + i) keyed paths, i < count, read in lockstep:
@@ -155,13 +163,38 @@ class _Replicates:
     size: int
     draws: tuple
 
+    @property
+    def rows(self) -> slice:
+        """The replicates read, as rows of a run's replicate axis."""
+        return slice(self.stream, self.stream + self.count)
+
     def blocks(self):
         return _read(self.seed, self.stream, 0, self.steps, self.size, self.draws, self.dt, self.count)
 
 
-def step_bytes(n: int, with_vector: bool) -> int:
-    """Bytes of one step's increments: dB, plus dW when the path has it."""
-    return (n * n + (n if with_vector else 0)) * 8
+def _spans(seed: int, replicates: int, dt: float, steps: int, draws, chunk_bytes: int, min_slice: int = _MIN_SLICE):
+    """The reads of replicates 0..replicates-1, one ``_Replicates`` per span.
+
+    A span's replicates step together on slices of at most ``chunk_bytes``
+    and one block.  All replicates form one span unless its slices would
+    be shorter than ``min(steps, min_slice)`` steps; the spans are then
+    equal.  A run in which one replicate would draw more than
+    ``DEFAULT_MEM_CAP`` bytes raises ResourceCapError.
+    """
+    if replicates < 0 or chunk_bytes < 1:
+        raise ValueError("replicates must be >= 0 and chunk_bytes >= 1")
+    per_step = _step_bytes(draws)
+    if steps * per_step > DEFAULT_MEM_CAP:
+        raise ResourceCapError(
+            f"one replicate of {steps} steps draws {steps * per_step} bytes of increments "
+            f"(cap {DEFAULT_MEM_CAP}); shorten the horizon"
+        )
+    fit = max(1, chunk_bytes // (per_step * max(1, min(steps, min_slice))))
+    count = max(1, -(-replicates // fit))
+    width = max(1, -(-replicates // count))  # equal spans of at most ``fit`` replicates
+    size = min(BLOCK_STEPS, max(1, chunk_bytes // (width * per_step)))
+    return [_Replicates(seed, lo, min(width, replicates - lo), dt, steps, size, draws)
+            for lo in range(0, replicates, width)]
 
 
 def scalar_block(seed: int, stream: int, block: int, dt: float) -> np.ndarray:
@@ -201,7 +234,7 @@ class NoisePath:
             raise ValueError("steps and offset must be nonnegative")
 
     def nbytes(self) -> int:
-        return self.steps * step_bytes(self.n, self.with_vector)
+        return self.steps * _step_bytes(_draws(self.n, self.with_vector))
 
     def blocks(self, chunk: int = BLOCK_STEPS):
         """Consecutive ``(dB, dW)`` chunks of at most ``chunk`` steps.
@@ -333,15 +366,7 @@ def shift_path(path: NoisePath, k: int) -> NoisePath:
     """
     if not 0 <= k <= path.steps:
         raise ValueError(f"shift {k} out of range [0, {path.steps}]")
-    return NoisePath(
-        seed=path.seed,
-        n=path.n,
-        dt=path.dt,
-        steps=path.steps - k,
-        with_vector=path.with_vector,
-        stream=path.stream,
-        offset=path.offset + k,
-    )
+    return replace(path, steps=path.steps - k, offset=path.offset + k)
 
 
 def symmetrize(db, scale: float = 1.0) -> np.ndarray:
@@ -385,8 +410,7 @@ def _increments(path, scale: float = 1.0):
     full ``size`` instead of 2.  Every other read is serial.
     """
     if isinstance(path, _Replicates):
-        step = 8 * sum(math.prod(shape) for shape, _ in path.draws)  # bytes of one stream's step
-        if path.count * path.size * step >= _PREFETCH_BYTES:
+        if path.count * path.size * _step_bytes(path.draws) >= _PREFETCH_BYTES:
             return _ahead(_checked(replace(path, size=max(1, path.size // 2)), scale))
     return _checked(path, scale)
 

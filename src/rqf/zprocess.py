@@ -35,7 +35,7 @@ from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from . import noise
 from .errors import NumericalError, ResourceCapError
-from .flows import _spans, _step_count
+from .flows import _step_count
 from .integrators import _em_z_increment, em_step_z
 
 __all__ = [
@@ -131,8 +131,11 @@ def simulate_z(z0: float, T: float, dt: float, seed: int, stream: int = 0) -> ZT
     return ZTrajectory(times=dt * np.arange(steps + 1), values=values)
 
 
-# bytes of one noise slice of simulate_z_finals; a z step costs little next
-# to a replicate's read, so its spans keep whole-block slices
+# bytes of one noise slice of simulate_z_finals, on spans that keep
+# whole-block slices: a z step costs little next to a replicate's read, so
+# wide spans pay.  At the CLI's 4 MiB sphere budget the oracle table (10
+# starting points, 2,000 replicates, 800 steps) splits into 4 spans and
+# took 58-61 ms against 47-51 ms at 32 MiB (in-process, 2 vCPUs)
 _Z_CHUNK_BYTES = 1 << 25
 # steps read from one contiguous transposed copy: a step's column of a
 # (replicates, size) slice is strided by a whole slice row, which aliases in
@@ -149,9 +152,10 @@ def simulate_z_finals(z0, T: float, dt: float, seed: int, replicates: int) -> np
     is a scalar or a 1-D array of starting points; the result has shape
     ``z0.shape + (replicates,)``.  Every starting point rides on the same
     noise, drawn once, and the update is elementwise, so each row equals
-    the scalar-``z0`` call bit for bit.  Replicates step together in spans
-    sized by the rule of ``flows.batch_finals``, on noise slices of at most
-    32 MiB; a run above 2^27 steps raises ResourceCapError, as there.
+    the scalar-``z0`` call bit for bit.  Replicates step together in the
+    spans of ``noise._spans``, as in ``flows.batch_finals``, on noise
+    slices of at most 32 MiB and of whole 1024-step blocks where the run
+    has them; a run above 2^27 steps raises ResourceCapError, as there.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.ndim > 1:
@@ -160,14 +164,14 @@ def simulate_z_finals(z0, T: float, dt: float, seed: int, replicates: int) -> np
         raise ValueError("z0 must be in [-1, 1]")
     steps = _step_count(T, dt)
     finals = np.empty(z0.shape + (replicates,))
-    for lo, hi, size in _spans(replicates, steps, 8, _Z_CHUNK_BYTES, noise.BLOCK_STEPS):
-        z = np.repeat(z0[..., None], hi - lo, axis=-1)
-        for db, _ in noise._Replicates(seed, lo, hi - lo, dt, steps, size, noise._SCALAR_DRAWS).blocks():
+    for path in noise._spans(seed, replicates, dt, steps, noise._SCALAR_DRAWS, _Z_CHUNK_BYTES, noise.BLOCK_STEPS):
+        z = np.repeat(z0[..., None], path.count, axis=-1)
+        for db, _ in path.blocks():
             for j in range(0, db.shape[1], _Z_COLUMNS):
                 for dbk in np.ascontiguousarray(db[:, j : j + _Z_COLUMNS].T):
                     z += _em_z_increment(z, dbk, dt)
                     np.clip(z, -1.0, 1.0, out=z)
-        finals[..., lo:hi] = z
+        finals[..., path.rows] = z
     return finals
 
 

@@ -147,6 +147,22 @@ class TestMainEntry:
         assert json.loads(capsys.readouterr().err)["error"] == {"kind": "config", "message": "; ".join(messages)}
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_a_config_error(self, tmp_path, capsys, seed):
+        doc = dict(BASE, seed=seed, out_dir=str(tmp_path / "runs"))
+        assert cli.validate_document(doc) == ["seed must be in [0, 2^64)"]
+        path = write_config(tmp_path, doc)
+        assert cli.main(["zprocess", "--config", path]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {"kind": "config", "message": "seed must be in [0, 2^64)"}
+        path = write_config(tmp_path, dict(BASE, out_dir=str(tmp_path / "runs")), "in_range.json")
+        assert cli.main(["zprocess", "--config", path, "--seed", str(seed)]) == 2
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("delta0", [0, 1e-17])
+    def test_unresolvable_delta0_is_a_config_error(self, delta0):
+        doc = {"experiment": "lyapunov", "T": 1.0, "dt": 1e-2, "delta0": delta0}
+        assert cli.validate_document(doc) == ["delta0 must be >= 1e-12"]
+
     def test_successful_run_writes_outputs(self, tmp_path, capsys):
         doc = dict(BASE, seed_count=20, out_dir=str(tmp_path / "runs"))
         path = write_config(tmp_path, doc)

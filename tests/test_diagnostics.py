@@ -247,6 +247,15 @@ class TestLyapunovBenettin:
         with pytest.raises(ValueError):
             lyapunov_benettin("unknown", None, 10.0, 1e-3, 0.1)
 
+    @pytest.mark.parametrize("delta0", [0.0, -1e-8, 1e-17, 1e-200])
+    @pytest.mark.parametrize("model, params", [("phase", None), ("sphere", {"n": 2}), ("sphere", {"n": 3})])
+    def test_unresolvable_delta0_rejected(self, model, params, delta0):
+        # each estimator once divided by delta0 = 0 (n = 2 recursed without
+        # end), blamed renorm_interval for a negative one or one lost to
+        # rounding (1e-17), and n = 2 divided by its underflowed 1e-200
+        with pytest.raises(ValueError, match="delta0"):
+            lyapunov_benettin(model, params, 1.0, 1e-2, 0.1, delta0=delta0)
+
     @pytest.mark.parametrize("params", [{"n": 2, "sign": 3.0}, {"n": 3, "sigma_q": -1.0},
                                         {"n": 3, "sigma_w": -0.5}])
     def test_invalid_sign_or_sigma_rejected(self, params):

@@ -342,7 +342,7 @@ class TestBatchFinals:
         dt = 1e-3
         pair = np.stack([E1, E2])
         snaps = flows.batch_finals(pair, 0.05, dt, 44, 3, chunk_bytes=7200, checkpoints=dt * np.arange(51))
-        assert len(flows._spans(3, 50, noise.step_bytes(3, False), 7200)) == 2
+        assert len(noise._spans(44, 3, dt, 50, noise._draws(3, False), 7200)) == 2
         for r in range(3):
             ens = flows.simulate_coupled(pair, 0.05, dt, 44, stream=r)
             assert np.array_equal(snaps[:, r], np.stack([member.states for member in ens.members], axis=1))
@@ -387,13 +387,16 @@ class TestBatchFinals:
         # slices hold at least min(steps, 64) steps; a 10-step run gets
         # whole-run slices, not 64-step ones
         per_step, chunk_bytes = 72, 1 << 22
-        spans = flows._spans(replicates, steps, per_step, chunk_bytes)
+        draws = noise._draws(3, False)
+        assert noise._step_bytes(draws) == per_step
+        spans = noise._spans(88, replicates, 1e-2, steps, draws, chunk_bytes)
         assert len(spans) == count
-        assert [lo for lo, _, _ in spans] == [0] + [hi for _, hi, _ in spans[:-1]]
-        assert spans[-1][1] == replicates
-        for lo, hi, size in spans:
-            assert (hi - lo) * size * per_step <= chunk_bytes
-            assert size >= min(steps, flows._MIN_SLICE)
+        assert [span.stream for span in spans] == [0] + [span.stream + span.count for span in spans[:-1]]
+        assert spans[-1].stream + spans[-1].count == replicates
+        for span in spans:
+            assert (span.seed, span.dt, span.steps, span.draws) == (88, 1e-2, steps, draws)
+            assert span.count * span.size * per_step <= chunk_bytes
+            assert span.size >= min(steps, noise._MIN_SLICE)
 
     def test_checkpoints_below_one_step_round_up(self):
         # t = 0, dt/2 and dt map to steps 0, 1 and 1 by the step-count rule
@@ -427,8 +430,8 @@ class TestBatchFinals:
         grid = flows.sphere_grid(20, 3)
         half = np.concatenate([grid, 2.5 * grid])
         g = len(half)
-        chunk_bytes = 2 * 64 * noise.step_bytes(3, False)
-        assert len(flows._spans(5, 100, noise.step_bytes(3, False), chunk_bytes)) == 3
+        chunk_bytes = 2 * 64 * noise._step_bytes(noise._draws(3, False))
+        assert len(noise._spans(75, 5, 1e-2, 100, noise._draws(3, False), chunk_bytes)) == 3
         fin = flows.batch_finals(np.concatenate([half, -half]), 1.0, 1e-2, 75, 5, chunk_bytes=chunk_bytes)
         assert np.array_equal(fin[:, g:], -fin[:, :g])
 
@@ -445,8 +448,8 @@ class TestBatchFinals:
         # replicates
         ratios = np.array([0.0, 0.5, 4.0])
         pair = np.stack([E1, E2])
-        chunk_bytes = 2 * 64 * noise.step_bytes(3, True)
-        assert len(flows._spans(3, 1100, noise.step_bytes(3, True), chunk_bytes)) == 2
+        chunk_bytes = 2 * 64 * noise._step_bytes(noise._draws(3, True))
+        assert len(noise._spans(84, 3, 1e-3, 1100, noise._draws(3, True), chunk_bytes)) == 2
         scan = flows.batch_finals(np.tile(pair, (3, 1)), 1.1, 1e-3, 84, 3,
                                   sigma_w=np.repeat(ratios, 2), chunk_bytes=chunk_bytes)
         for i, ratio in enumerate(ratios):
@@ -567,7 +570,8 @@ class TestReadAhead:
         # peak allows the stated bound, the reader's generators (under 1.5 KB
         # each), the output and a few state-sized arrays of the Heun step
         chunk_bytes, width = 1 << 22, 667
-        assert flows._spans(2000, 300, 72, chunk_bytes)[0] == (0, width, 87)
+        first = noise._spans(87, 2000, 0.01, 300, noise._draws(3, False), chunk_bytes)[0]
+        assert (first.stream, first.stream + first.count, first.size) == (0, width, 87)
         monkeypatch.setattr(noise, "_PREFETCH_BYTES", threshold)
         tracemalloc.start()
         try:

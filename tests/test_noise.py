@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rqf import noise
+from rqf import flows, noise, zprocess
 from rqf.errors import NumericalError, ResourceCapError
 from rqf.noise import (
     BLOCK_STEPS,
@@ -225,7 +225,7 @@ class TestIntake:
         # 150-step slices drawn off the calling thread, with the bits of
         # the serial read; one byte less keeps it serial
         path = noise._Replicates(40, 2, 3, 0.01, 1100, 300, noise._draws(3, True))
-        full = 3 * 300 * noise.step_bytes(3, True)
+        full = 3 * 300 * noise._step_bytes(noise._draws(3, True))
         drawn_on = []
         real = noise._slice
         monkeypatch.setattr(noise, "_slice", lambda *a: drawn_on.append(threading.current_thread()) or real(*a))
@@ -295,6 +295,23 @@ class TestAhead:
 
 
 class TestSubstreams:
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (2**64, ValueError), (1.5, TypeError)])
+    def test_seed_outside_64_bits_rejected(self, seed, error):
+        # the key holds 64 seed bits; 2^64 once drew seed 0's increments,
+        # -1 those of 2^64 - 1, and 1.5 those of its truncation, 1
+        with pytest.raises(error, match="seed|integer"):
+            NoisePath(seed, 3, 0.1, 5).matrix_increments
+        with pytest.raises(error, match="seed|integer"):
+            scalar_increments(seed, 5, 0.1)
+        with pytest.raises(error, match="seed|integer"):
+            flows.batch_finals(np.eye(3)[:1], 0.5, 0.1, seed, 2)
+        with pytest.raises(error, match="seed|integer"):
+            zprocess.simulate_z_finals(0.0, 0.5, 0.1, seed, 2)
+
+    def test_seed_range_ends_are_distinct_keys(self):
+        low, high = (NoisePath(seed, 3, 0.1, 5).matrix_increments for seed in (0, 2**64 - 1))
+        assert not np.array_equal(low, high)
+
     def test_streams_reproducible_and_distinct(self):
         a = generate_path(5, 2, 1e-2, 64, stream=0)
         b = generate_path(5, 2, 1e-2, 64, stream=1)

@@ -232,8 +232,8 @@ class TestZFinalsTable:
         one = simulate_z_finals(z0s, 11.0, 1e-2, 31, 10)
         chunk_bytes = 4 * 8 * noise.BLOCK_STEPS
         monkeypatch.setattr(zprocess, "_Z_CHUNK_BYTES", chunk_bytes)
-        spans = zprocess._spans(10, 1100, 8, chunk_bytes, noise.BLOCK_STEPS)
-        assert [span[:2] for span in spans] == [(0, 4), (4, 8), (8, 10)]
+        spans = noise._spans(31, 10, 1e-2, 1100, noise._SCALAR_DRAWS, chunk_bytes, noise.BLOCK_STEPS)
+        assert [(span.stream, span.stream + span.count) for span in spans] == [(0, 4), (4, 8), (8, 10)]
         table = simulate_z_finals(z0s, 11.0, 1e-2, 31, 10)
         assert table.shape == (3, 10)
         assert np.array_equal(table, one)
