@@ -10,7 +10,8 @@ Tables are written column by column (``_csv``).  Initial states go to
 ``batch_finals`` run gives ``simulate`` and ``pullback`` the bytes the
 public single-run functions give, and ``dqf`` steps through ``simulate_rqf``.
 
-Exit codes: 0 success, 2 config error, 3 numerical error, 4 resource cap.
+Exit codes: 0 success, 2 config error, 3 numerical error, 4 resource cap (an
+array would exceed ``noise.DEFAULT_MEM_CAP``, or its allocation failed).
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def _json(obj) -> str:
 
 
 def _default_x0(cfg: RunConfig) -> np.ndarray:
-    return unit_vector(np.eye(cfg.n)[0] if cfg.x0 is None else cfg.x0)
+    return unit_vector(np.eye(1, cfg.n)[0] if cfg.x0 is None else cfg.x0)  # e1: n floats, not n^2
 
 
 def _trajectory_csv(times, paths) -> str:
@@ -552,7 +553,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(_error_json("config", str(exc)), file=sys.stderr)
         return 2
-    except ResourceCapError as exc:
+    except (ResourceCapError, MemoryError) as exc:
         print(_error_json("resource", str(exc)), file=sys.stderr)
         return 4
     except NumericalError as exc:

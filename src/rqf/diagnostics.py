@@ -16,7 +16,6 @@ import numpy as np
 from scipy import special
 
 from . import flows, noise
-from .errors import NumericalError
 from .integrators import _scales
 
 __all__ = [
@@ -282,12 +281,12 @@ class LyapunovEstimate:
 MIN_DELTA0 = 1e-12
 
 
-def _log_growth(distance: float, delta0: float) -> float:
+def _log_growth(distance: float, delta0: float, path, k: int) -> float:
+    # the separation after step k of ``path``; out of range, it names k, seed and stream
     ratio = distance / delta0
     if not (1e-8 < ratio < 1e8):
-        raise NumericalError(
-            f"separation ratio {ratio:.3e} left the safe range; use a smaller renorm_interval"
-        )
+        what = f"separation ratio {ratio:.3e} left the safe range (use a smaller renorm_interval)"
+        raise noise._located(path, what, k, True)
     return math.log(ratio)
 
 
@@ -303,12 +302,13 @@ def _benettin_phase(path, logs, spi, delta0):
             k += 1
             if k % spi == 0:
                 d = math.remainder(phi2 - phi1, 2.0 * math.pi)
-                logs[k // spi - 1] = _log_growth(abs(d), delta0)
+                logs[k // spi - 1] = _log_growth(abs(d), delta0, path, k)
                 phi2 = phi1 + math.copysign(delta0, d)
 
 
 def _benettin_sphere2(path, logs, spi, delta0, q_scale):
-    # scalar specialization of the n = 2 flow; ~10x faster than array steps
+    # scalar specialization of the n = 2 flow; ~10x faster than array steps;
+    # it reads dQ already scaled by q_scale, as flows._advance does
     x1, x2 = 1.0, 0.0
     y1, y2 = _renorm2(x1, x2, x1 + 0.0, x2 + delta0, delta0)
     k = 0
@@ -317,21 +317,21 @@ def _benettin_sphere2(path, logs, spi, delta0, q_scale):
         a = q11 * c + q12 * s
         b = q12 * c + q22 * s
         dot = c * a + s * b
-        f1c = q_scale * (a - dot * c)
-        f1s = q_scale * (b - dot * s)
+        f1c = a - dot * c
+        f1s = b - dot * s
         pc = c + f1c
         ps = s + f1s
         a = q11 * pc + q12 * ps
         b = q12 * pc + q22 * ps
         dot = pc * a + ps * b
-        f2c = q_scale * (a - dot * pc)
-        f2s = q_scale * (b - dot * ps)
+        f2c = a - dot * pc
+        f2s = b - dot * ps
         nc = c + 0.5 * (f1c + f2c)
         ns = s + 0.5 * (f1s + f2s)
         inv = 1.0 / math.sqrt(nc * nc + ns * ns)
         return nc * inv, ns * inv
 
-    for dq, _ in noise._increments(path):
+    for dq, _ in noise._increments(path, q_scale):
         for q11, q12, _, q22 in dq.reshape(len(dq), 4).tolist():
             x1, x2 = step(x1, x2, q11, q12, q22)
             y1, y2 = step(y1, y2, q11, q12, q22)
@@ -339,7 +339,7 @@ def _benettin_sphere2(path, logs, spi, delta0, q_scale):
             if k % spi == 0:
                 dx = y1 - x1
                 dy = y2 - x2
-                logs[k // spi - 1] = _log_growth(math.sqrt(dx * dx + dy * dy), delta0)
+                logs[k // spi - 1] = _log_growth(math.sqrt(dx * dx + dy * dy), delta0, path, k)
                 y1, y2 = _renorm2(x1, x2, y1, y2, delta0)
 
 
@@ -366,7 +366,7 @@ def _benettin_sphere(path, logs, spi, delta0, q_scale, w_scale):
             return
         diff = states[1] - states[0]
         d = float(np.linalg.norm(diff))
-        logs[k // spi - 1] = _log_growth(d, delta0)
+        logs[k // spi - 1] = _log_growth(d, delta0, path, k)
         y = states[0] + (delta0 / d) * diff
         states[1] = y / np.linalg.norm(y)
 

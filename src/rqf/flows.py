@@ -8,7 +8,7 @@ get right.  Monte Carlo over realizations uses per-replicate substreams
 Every sphere runner goes through one Heun loop, ``_advance``, and the
 circle runners through one phase step; all of them read dQ from
 ``noise._increments``, one checked slice of at most one 1024-step block
-at a time.  This module draws nothing itself.
+(and 128 MiB on a single path) at a time.  This module draws nothing itself.
 """
 
 from __future__ import annotations
@@ -248,7 +248,7 @@ def batch_finals(
     sigma_w: float = 0.0,
     sign: float = -1.0,
     threads: int = 1,
-    chunk_bytes: int = 1 << 27,
+    chunk_bytes: int = noise._SLICE_BYTES,
     checkpoints=None,
 ) -> np.ndarray:
     """Final states over independent noise realizations, shape (R, m, n).
@@ -260,11 +260,13 @@ def batch_finals(
     spans, one batched Heun step per time step and span; the spans change
     no bit of the result.  ``noise._spans`` cuts them and their noise
     reads: a slice holds a span's increments for as many steps as fit in
-    ``chunk_bytes``, at most one 1024-step block, and a span holds every
-    replicate unless its slices would then be shorter than 64 steps (or
-    than the run).  A slice of 1 MiB or more is read in halves, the next
-    half drawn and symmetrized on a helper thread while this thread steps
-    the current one (``noise._increments``), so about 1.5 * ``chunk_bytes``
+    ``chunk_bytes`` (128 MiB by default), at most one 1024-step block, and a
+    span holds every replicate unless its slices would then be shorter
+    than 64 steps (or than the run).  Any horizon runs: only a run whose
+    one-step slice of one replicate exceeds ``noise.DEFAULT_MEM_CAP``
+    raises ResourceCapError.  A slice of 1 MiB or more is read in halves,
+    the next half drawn and symmetrized on a helper thread while this
+    thread steps the current one (``noise._increments``), so about 1.5 * ``chunk_bytes``
     of noise is in flight; a smaller slice is read on this thread, next to
     its symmetrized dQ, about 2 * ``chunk_bytes``.  Either way the reader
     also keeps each replicate's generators, under 1.5 KB each per block.

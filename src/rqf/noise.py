@@ -13,7 +13,9 @@ gives
   reads consecutive streams in lockstep; it keeps each block's generator
   alive and draws a block only as far as it reads it, never a whole
   block ahead; ``_spans`` cuts every Monte Carlo run's replicates into
-  those reads, on slices that fit one byte budget.
+  those reads, on slices that fit one byte budget, and ``blocks()`` a
+  single path on ``_SLICE_BYTES``.  No horizon is refused: ``_fits``
+  refuses only an array a run holds at once above ``DEFAULT_MEM_CAP``.
 
 Matrix increments dB have iid Normal(0, dt) entries; the symmetrized
 increment dQ = (dB + dB^T)/2 then has Var(dQ_ii) = dt and
@@ -56,7 +58,9 @@ __all__ = [
 ]
 
 BLOCK_STEPS = 1024
-DEFAULT_MEM_CAP = 1 << 30  # 1 GiB
+DEFAULT_MEM_CAP = 1 << 30  # 1 GiB: the largest array a run may hold at once
+# bytes of one slice of a single path's keyed read, and batch_finals' budget
+_SLICE_BYTES = 1 << 27
 # replicates read their noise one at a time, so a slice shorter than this
 # many steps costs more in reads than one wide batch saves in step calls
 _MIN_SLICE = 64
@@ -72,6 +76,13 @@ _MATRIX_DOMAIN = 0  # matrix increments dB
 _SCALAR_DOMAIN = 1  # scalar Brownian increments (z-process drivers)
 _VECTOR_DOMAIN = 2  # vector increments dW
 _GRID_DOMAIN = 3  # seeded initial grids (flows.sphere_grid)
+
+
+def _fits(nbytes: int, what: str) -> None:
+    """The one resource rule: ``what``, an array of ``nbytes`` bytes that a
+    run must hold at once, raises ResourceCapError above ``DEFAULT_MEM_CAP``."""
+    if nbytes > DEFAULT_MEM_CAP:
+        raise ResourceCapError(f"{what} needs {nbytes} bytes at once (cap {DEFAULT_MEM_CAP})")
 
 
 def _block_generator(seed: int, stream: int, block: int, domain: int) -> np.random.Generator:
@@ -178,17 +189,13 @@ def _spans(seed: int, replicates: int, dt: float, steps: int, draws, chunk_bytes
     A span's replicates step together on slices of at most ``chunk_bytes``
     and one block.  All replicates form one span unless its slices would
     be shorter than ``min(steps, min_slice)`` steps; the spans are then
-    equal.  A run in which one replicate would draw more than
-    ``DEFAULT_MEM_CAP`` bytes raises ResourceCapError.
+    equal.  The horizon is not capped: only a run whose smallest slice,
+    one step of one replicate, exceeds DEFAULT_MEM_CAP raises (``_fits``).
     """
     if replicates < 0 or chunk_bytes < 1:
         raise ValueError("replicates must be >= 0 and chunk_bytes >= 1")
     per_step = _step_bytes(draws)
-    if steps * per_step > DEFAULT_MEM_CAP:
-        raise ResourceCapError(
-            f"one replicate of {steps} steps draws {steps * per_step} bytes of increments "
-            f"(cap {DEFAULT_MEM_CAP}); shorten the horizon"
-        )
+    _fits(per_step, "one step of one replicate's noise")
     fit = max(1, chunk_bytes // (per_step * max(1, min(steps, min_slice))))
     count = max(1, -(-replicates // fit))
     width = max(1, -(-replicates // count))  # equal spans of at most ``fit`` replicates
@@ -233,25 +240,27 @@ class NoisePath:
         if self.steps < 0 or self.offset < 0:
             raise ValueError("steps and offset must be nonnegative")
 
-    def nbytes(self) -> int:
-        return self.steps * _step_bytes(_draws(self.n, self.with_vector))
-
-    def blocks(self, chunk: int = BLOCK_STEPS):
-        """Consecutive ``(dB, dW)`` chunks of at most ``chunk`` steps.
+    def blocks(self, chunk: int | None = None):
+        """Consecutive ``(dB, dW)`` chunks of at most ``chunk`` steps; by
+        default a block, or the steps (at least one) that fit in ``_SLICE_BYTES``.
 
         ``dW`` is None when the path carries no vector increments.  Chunks
         are drawn from the key as they are requested and nothing is cached;
         a suspended reader holds no chunk.
         """
-        if chunk < 1:
+        draws = _draws(self.n, self.with_vector)
+        if chunk is None:
+            chunk = min(BLOCK_STEPS, max(1, _SLICE_BYTES // _step_bytes(draws)))
+        elif chunk < 1:
             raise ValueError("chunk must be >= 1")
-        return _read(self.seed, self.stream, self.offset, self.steps, chunk, _draws(self.n, self.with_vector), self.dt)
+        return _read(self.seed, self.stream, self.offset, self.steps, chunk, draws, self.dt)
 
     def _take(self, k: int, steps: int, vector: bool) -> np.ndarray:
         # ``steps`` steps of dB, or of dW, from step k, drawn from the key
         if vector and not self.with_vector:
             raise ValueError("path was generated without vector increments")
         draw = ((self.n,), _VECTOR_DOMAIN) if vector else ((self.n, self.n), _MATRIX_DOMAIN)
+        _fits(steps * _step_bytes((draw,)), f"{steps} steps of {'dW' if vector else 'dB'} at n={self.n}")
         return _once(self.seed, self.stream, self.offset + k, steps, (draw,), self.dt)[0]
 
     def _increment(self, k: int, vector: bool) -> np.ndarray:
@@ -265,17 +274,9 @@ class NoisePath:
     def vector_increment(self, k: int) -> np.ndarray:
         return self._increment(k, True)
 
-    def _check_cap(self, mem_cap: int = DEFAULT_MEM_CAP):
-        if self.nbytes() > mem_cap:
-            raise ResourceCapError(
-                f"materializing {self.steps} steps of {self.n}x{self.n} increments "
-                f"needs {self.nbytes()} bytes (cap {mem_cap}); iterate blocks() instead"
-            )
-
     @property
     def matrix_increments(self) -> np.ndarray:
         """All matrix increments, shape (steps, n, n), drawn from the key on each access."""
-        self._check_cap()
         return self._take(0, self.steps, False)
 
     @property
@@ -283,7 +284,6 @@ class NoisePath:
         """All vector increments, shape (steps, n), or None; drawn on each access."""
         if not self.with_vector:
             return None
-        self._check_cap()
         return self._take(0, self.steps, True)
 
     def header(self) -> dict:
@@ -340,7 +340,6 @@ def generate_path(
     steps: int,
     with_vector: bool = False,
     stream: int = 0,
-    mem_cap: int = DEFAULT_MEM_CAP,
     materialize: bool = True,
 ) -> NoisePath:
     """Create the noise path for one realization.
@@ -348,13 +347,13 @@ def generate_path(
     Deterministic in (seed, n, dt, steps, stream).  Nothing is drawn or
     cached here: ``matrix_increments`` and ``vector_increments`` draw from
     the key on each access, and ``blocks()`` streams.  ``materialize``
-    only checks that the whole path fits in ``mem_cap`` bytes and raises
-    ResourceCapError if not; pass ``materialize=False`` for a path read
-    only through ``blocks()``.
+    only checks that the whole path fits in ``DEFAULT_MEM_CAP`` bytes and
+    raises ResourceCapError if not; pass ``materialize=False`` for a path
+    read only through ``blocks()``, which holds one slice at a time.
     """
     path = NoisePath(seed=seed, n=n, dt=dt, steps=steps, with_vector=with_vector, stream=stream)
     if materialize:
-        path._check_cap(mem_cap)
+        _fits(steps * _step_bytes(_draws(n, with_vector)), f"a materialized path of {steps} steps at n={n}")
     return path
 
 

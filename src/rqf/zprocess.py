@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from . import noise
-from .errors import NumericalError, ResourceCapError
+from .errors import NumericalError
 from .flows import _step_count
 from .integrators import _em_z_increment, em_step_z
 
@@ -155,7 +155,7 @@ def simulate_z_finals(z0, T: float, dt: float, seed: int, replicates: int) -> np
     the scalar-``z0`` call bit for bit.  Replicates step together in the
     spans of ``noise._spans``, as in ``flows.batch_finals``, on noise
     slices of at most 32 MiB and of whole 1024-step blocks where the run
-    has them; a run above 2^27 steps raises ResourceCapError, as there.
+    has them, at any horizon.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.ndim > 1:
@@ -294,7 +294,8 @@ def fokker_planck_evolve(p0: DensityGrid, T: float, dt_pde: float | None = None)
     roundoff.  By default the result is exact in time: p(T) = exp(A T) p0
     from one eigendecomposition of the symmetrized generator, at a cost
     that does not depend on T; it holds an m x m eigenvector matrix, and
-    raises ResourceCapError if that would exceed ``noise.DEFAULT_MEM_CAP``.
+    raises ResourceCapError if that would exceed ``noise.DEFAULT_MEM_CAP``
+    (``noise._fits``).
     Passing ``dt_pde`` time-steps the same fluxes explicitly instead (the
     cross-check); a value above the stability bound raises with the bound
     in the message.
@@ -303,11 +304,7 @@ def fokker_planck_evolve(p0: DensityGrid, T: float, dt_pde: float | None = None)
         raise ValueError("T must be >= 0")
     m = p0.m
     if dt_pde is None:
-        if 8 * m * m > noise.DEFAULT_MEM_CAP:
-            raise ResourceCapError(
-                f"the spectral Fokker-Planck solve at m={m} holds {8 * m * m} bytes of "
-                f"eigenvectors (cap {noise.DEFAULT_MEM_CAP})"
-            )
+        noise._fits(8 * m * m, f"the spectral Fokker-Planck solve's eigenvectors at m={m}")
     elif dt_pde <= 0:
         raise ValueError("dt_pde must be positive")
     elif dt_pde > max_stable_dt(m):

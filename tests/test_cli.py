@@ -87,14 +87,32 @@ class TestMainEntry:
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
 
     def test_resource_cap_exit_code(self, tmp_path, capsys):
-        # a valid uniformity run (>= 100 replicates) whose horizon is over the noise cap
-        doc = {"experiment": "uniformity", "n": 3, "T": 10_000.0, "dt": 1e-4,
+        # a valid uniformity run (>= 100 replicates) whose one-step noise
+        # slice of one replicate, 2 GiB at n = 16384, is over the cap
+        doc = {"experiment": "uniformity", "n": 16384, "T": 0.1, "dt": 1e-2,
                "seed": 1, "seed_count": 100, "out_dir": str(tmp_path / "runs")}
         path = write_config(tmp_path, doc)
         rc = cli.main(["uniformity", "--config", path])
         assert rc == 4
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "resource"
+        assert "one step of one replicate's noise" in err["error"]["message"]
+
+    @pytest.mark.parametrize("experiment, extra", [("coupled", {"members": 2}), ("simulate", {})])
+    def test_unallocatable_output_exit_code(self, tmp_path, capsys, experiment, extra):
+        # 10^12 steps: the states or times to return need terabytes, and
+        # numpy refuses the allocation at once
+        doc = {"experiment": experiment, "n": 3, "T": 1e9, "dt": 1e-3, "seed": 1,
+               "out_dir": str(tmp_path / "runs"), **extra}
+        path = write_config(tmp_path, doc)
+        assert cli.main([experiment, "--config", path]) == 4
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "resource" and "Unable to allocate" in err["message"]
+
+    def test_default_x0_is_e1_without_an_identity_matrix(self):
+        # np.eye(100_000) would need 80 GB
+        x0 = cli._default_x0(cli.RunConfig("simulate", n=100_000))
+        assert x0.shape == (100_000,) and x0[0] == 1.0 and not x0[1:].any()
 
     def test_fokker_planck_cell_cap_exit_code(self, tmp_path, capsys):
         # 20000 cells need 3.2 GB of eigenvectors, over the 1 GiB cap

@@ -15,6 +15,7 @@ from rqf.diagnostics import (
     sync_metric,
     uniformity_check,
 )
+from rqf.errors import NumericalError
 from rqf.geometry import random_unit_vector
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -255,6 +256,13 @@ class TestLyapunovBenettin:
         # rounding (1e-17), and n = 2 divided by its underflowed 1e-200
         with pytest.raises(ValueError, match="delta0"):
             lyapunov_benettin(model, params, 1.0, 1e-2, 0.1, delta0=delta0)
+
+    @pytest.mark.parametrize("model, params", [("phase", None), ("sphere", {"n": 2}), ("sphere", {"n": 3})])
+    def test_collapsed_separation_names_seed_stream_and_step(self, model, params):
+        # a 40-unit interval lets the pair synchronize to rounding; each
+        # estimator once reported only the ratio
+        with pytest.raises(NumericalError, match=r"separation ratio .* at step 4000 \(seed 3, stream 0\)"):
+            lyapunov_benettin(model, params, 80.0, 1e-2, 40.0, seed=3)
 
     @pytest.mark.parametrize("params", [{"n": 2, "sign": 3.0}, {"n": 3, "sigma_q": -1.0},
                                         {"n": 3, "sigma_w": -0.5}])

@@ -382,10 +382,11 @@ class TestBatchFinals:
         with pytest.raises(ValueError):
             flows.batch_finals(E1[None, :], 0.1, 1e-2, 81, replicates, chunk_bytes=chunk_bytes)
 
-    @pytest.mark.parametrize("replicates, steps, count", [(100_000, 10, 18), (2000, 300, 3), (7, 1100, 1)])
+    @pytest.mark.parametrize("replicates, steps, count", [(100_000, 10, 18), (2000, 300, 3), (7, 1100, 1),
+                                                          (100, 10**8, 1)])
     def test_spans_cover_replicates_within_chunk_bytes(self, replicates, steps, count):
         # slices hold at least min(steps, 64) steps; a 10-step run gets
-        # whole-run slices, not 64-step ones
+        # whole-run slices, not 64-step ones; no horizon is refused
         per_step, chunk_bytes = 72, 1 << 22
         draws = noise._draws(3, False)
         assert noise._step_bytes(draws) == per_step
@@ -397,6 +398,14 @@ class TestBatchFinals:
             assert (span.seed, span.dt, span.steps, span.draws) == (88, 1e-2, steps, draws)
             assert span.count * span.size * per_step <= chunk_bytes
             assert span.size >= min(steps, noise._MIN_SLICE)
+
+    def test_horizon_over_a_gib_of_draws_matches_coupled_bit_exact(self):
+        # 2,100 steps at n = 256 draw 1.1 GB in all, in 8-step slices of 4 MiB
+        n, dt, steps = 256, 2.0**-10, 2100
+        assert steps * noise._step_bytes(noise._draws(n, False)) > noise.DEFAULT_MEM_CAP
+        x0 = random_unit_vector(n, np.random.default_rng(3))
+        fin = flows.batch_finals(x0[None, :], steps * dt, dt, 57, 1, chunk_bytes=1 << 22)
+        assert np.array_equal(fin[0], flows.simulate_coupled([x0], steps * dt, dt, 57, stream=0).final_states)
 
     def test_checkpoints_below_one_step_round_up(self):
         # t = 0, dt/2 and dt map to steps 0, 1 and 1 by the step-count rule

@@ -52,10 +52,12 @@ class TestGeneratePath:
     def test_memory_cap(self):
         with pytest.raises(ResourceCapError):
             generate_path(1, 64, 1e-3, 10_000_000)
-        # streaming construction succeeds
+        # streaming construction succeeds; materializing it still raises
         p = generate_path(1, 64, 1e-3, 10_000_000, materialize=False)
         db, _ = next(p.blocks())
         assert db.shape[1:] == (64, 64)
+        with pytest.raises(ResourceCapError):
+            p.matrix_increments
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -129,6 +131,17 @@ class TestStreamingReader:
         # and no dW value is a dB draw of the first blocks, as it would be if
         # both came from one generator
         assert not np.isin(dw[:BLOCK_STEPS].ravel(), db[: 2 * BLOCK_STEPS].ravel()).any()
+
+    @pytest.mark.parametrize("n, with_vector, size", [(3, True, 1024), (127, True, 1024), (128, True, 1016),
+                                                      (1024, False, 16), (1024, True, 15)])
+    def test_default_chunk_holds_at_most_one_budget(self, monkeypatch, n, with_vector, size):
+        # a block, or as many steps as fit in 128 MiB; the spy draws nothing
+        takes = []
+        monkeypatch.setattr(noise, "_slice", lambda *args: takes.append(args[4]) or (None, None))
+        path = NoisePath(36, n, 0.01, 2 * size + 1, with_vector)
+        list(path.blocks())
+        assert takes == [size, size, 1]
+        assert size * noise._step_bytes(noise._draws(n, with_vector)) <= 1 << 27
 
     def test_invalid_chunk_and_index(self):
         path = NoisePath(33, 2, 0.1, 10)
@@ -456,3 +469,19 @@ def test_only_noise_builds_keys_or_symmetrizes():
                 if name in {"Philox", "Generator", "default_rng", "symmetrize"}:
                     offenders.append(f"{source.name}:{node.lineno} {name}")
     assert not offenders
+
+
+def test_one_function_refuses_resources():
+    # every ResourceCapError in rqf is raised by noise._fits
+    raisers = []
+    for source in sorted(pathlib.Path(noise.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call):
+                        func = node.func
+                        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                        if name == "ResourceCapError":
+                            raisers.append(f"{source.name}:{fn.name}")
+    assert raisers == ["noise.py:_fits"]

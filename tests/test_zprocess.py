@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rqf import noise, zprocess
-from rqf.errors import ResourceCapError
 from rqf.zprocess import (
     DensityGrid,
     fokker_planck_evolve,
@@ -241,10 +240,13 @@ class TestZFinalsTable:
             assert np.array_equal(row, simulate_z_finals(z0, 11.0, 1e-2, 31, 10))
             assert all(row[r] == simulate_z(z0, 11.0, 1e-2, 31, stream=r).final for r in range(10))
 
-    def test_step_cap_raises_before_drawing(self):
-        # a replicate above 2^27 steps would draw more than noise.DEFAULT_MEM_CAP bytes
-        with pytest.raises(ResourceCapError):
-            simulate_z_finals(0.0, 1.0, 1.0 / (2**27 + 10), 1, 2)
+    def test_long_horizon_spans_without_drawing(self, monkeypatch):
+        # a replicate of 2^27 + 10 steps draws over 1 GiB in all, but its
+        # reads hold one block at a time, so the run is cut, not refused
+        monkeypatch.setattr(noise, "_block_generator", None)
+        steps = 2**27 + 10
+        spans = noise._spans(1, 2, 1.0 / steps, steps, noise._SCALAR_DRAWS, zprocess._Z_CHUNK_BYTES, noise.BLOCK_STEPS)
+        assert [(s.stream, s.count, s.steps, s.size) for s in spans] == [(0, 2, steps, noise.BLOCK_STEPS)]
 
     def test_rejects_out_of_range_entry(self):
         with pytest.raises(ValueError):
