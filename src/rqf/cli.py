@@ -113,6 +113,10 @@ def validate_document(doc: dict) -> list[str]:
     if exp != "fokker-planck" and is_num(T) and is_num(dt) and 0 < T < dt:
         violations.append("dt must not exceed T")
     ri = doc.get("renorm_interval", RunConfig.renorm_interval)
+    if exp == "lyapunov" and doc.get("model", RunConfig.model) == "phase":
+        # the circle reduction has no field parameters to set
+        violations += [f"{key} does not apply to model 'phase'"
+                       for key in ("sigma_q", "sigma_w", "sign") if key in doc]
     if exp == "lyapunov" and is_num(T) and is_num(dt) and is_num(ri):
         # the constraints lyapunov_benettin enforces
         if ri <= dt:
@@ -336,7 +340,7 @@ def _exp_fokker_planck(cfg: RunConfig) -> dict:
 def _exp_lyapunov(cfg: RunConfig) -> dict:
     params = {"n": cfg.n, "sigma_q": cfg.sigma_q, "sigma_w": cfg.sigma_w, "sign": cfg.sign}
     est = diagnostics.lyapunov_benettin(
-        cfg.model, params, cfg.T, cfg.dt, cfg.renorm_interval, cfg.seed, cfg.delta0
+        cfg.model, params if cfg.model == "sphere" else None, cfg.T, cfg.dt, cfg.renorm_interval, cfg.seed, cfg.delta0
     )
     return {
         "summary.json": _json({"seed": cfg.seed, "model": cfg.model, **est.as_dict()}),
@@ -459,9 +463,9 @@ def _steps(cfg: RunConfig) -> int | None:
 def run(cfg: RunConfig, threads: int | None = None) -> dict:
     """Execute one experiment (``threads`` is ignored); write outputs and the manifest; return it.
 
-    Every experiment steps on the calling thread; a batched run's large
-    noise reads draw one slice ahead on a helper thread of their own,
-    whatever ``threads`` says.
+    Every experiment steps on the calling thread; a sphere or circle
+    batch draws its noise half a slice ahead on a helper thread of its
+    own, whatever ``threads`` says.
 
     Next to ``wall_time_s`` the manifest records the dt grid actually
     stepped, ``steps`` and ``T_simulated`` = steps * dt, which can differ
@@ -514,7 +518,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="override the output directory")
     parser.add_argument("--no-svg", action="store_true", help="skip SVG plot emission")
     parser.add_argument("--threads", type=int, default=None,
-                        help="accepted and ignored; every experiment steps on one thread, and large "
+                        help="accepted and ignored; every experiment steps on one thread, and "
                              "batched noise reads draw one slice ahead on one helper thread")
     args = parser.parse_args(argv)
 

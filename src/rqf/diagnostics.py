@@ -396,8 +396,9 @@ def lyapunov_benettin(
     to distance ``delta0``.  Returns the growth rate with a block-averaged
     standard error.  Deterministic given the seed.
 
-    Models: ``"phase"`` (the circle reduction; no params) and ``"sphere"``
-    (params: n, sigma_q, sigma_w, sign).
+    Models: ``"phase"`` (the circle reduction; params None or empty) and
+    ``"sphere"`` (params: n, sigma_q, sigma_w, sign).  Any other key
+    raises ValueError rather than being ignored.
     """
     if dt <= 0 or renorm_interval <= dt:
         raise ValueError("need renorm_interval > dt > 0")
@@ -407,7 +408,10 @@ def lyapunov_benettin(
         raise ValueError("need T >= 2 * renorm_interval")
     if model not in ("phase", "sphere"):
         raise ValueError(f"unknown model {model!r}; expected 'phase' or 'sphere'")
-    params = dict(params or {}) if model == "sphere" else {}
+    params = dict(params or {})
+    allowed = {"n", "sigma_q", "sigma_w", "sign"} if model == "sphere" else set()
+    if unexpected := sorted(map(str, set(params) - allowed)):
+        raise ValueError(f"unexpected {model} parameters: {', '.join(unexpected)}")
     n = int(params.get("n", 2))
     q_scale, w_scale = _scales(float(params.get("sigma_q", 1.0)), float(params.get("sigma_w", 0.0)),
                                float(params.get("sign", -1.0)))

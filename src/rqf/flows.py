@@ -264,12 +264,11 @@ def batch_finals(
     span holds every replicate unless its slices would then be shorter
     than 64 steps (or than the run).  Any horizon runs: only a run whose
     one-step slice of one replicate exceeds ``noise.DEFAULT_MEM_CAP``
-    raises ResourceCapError.  A slice of 1 MiB or more is read in halves,
-    the next half drawn and symmetrized on a helper thread while this
-    thread steps the current one (``noise._increments``), so about 1.5 * ``chunk_bytes``
-    of noise is in flight; a smaller slice is read on this thread, next to
-    its symmetrized dQ, about 2 * ``chunk_bytes``.  Either way the reader
-    also keeps each replicate's generators, under 1.5 KB each per block.
+    raises ResourceCapError.  Every slice is read in halves, the next half
+    drawn and symmetrized on a helper thread while this thread steps the
+    current one (``noise._increments``), so about 1.5 * ``chunk_bytes`` of
+    noise is in flight, plus each replicate's generators, under 1.5 KB
+    each per block.
     ``threads`` is accepted and ignored: the batched step holds the GIL,
     so further stepping threads only slow it.
 
@@ -319,6 +318,13 @@ def circle_angle(xy) -> np.ndarray:
     return np.mod(np.arctan2(xy[..., 1], xy[..., 0]), TWO_PI)
 
 
+def _start_angle(phi0) -> float:
+    # the circle runners' entry rule, as unit_vector is the sphere runners'
+    if not math.isfinite(phi0):
+        raise ValueError(f"phi0 must be finite, got {phi0}")
+    return float(phi0) % TWO_PI
+
+
 def _phase_combos(dq_block):
     # the two independent drivers of the circle model, dB22 - dB11 and
     # dB12 + dB21, built from the dQ the sphere flow consumes at n = 2
@@ -348,7 +354,7 @@ def simulate_phase(phi0: float, T: float, dt: float, seed: int, *, stream: int =
     steps = _step_count(T, dt)
     p = _resolve_path(path, seed, 2, dt, steps, False, stream)
     angles = np.empty(steps + 1)
-    phi = float(phi0) % TWO_PI
+    phi = _start_angle(phi0)
     angles[0] = phi
     k = 0
     for dq, _ in noise._increments(p):
@@ -360,16 +366,16 @@ def simulate_phase(phi0: float, T: float, dt: float, seed: int, *, stream: int =
     return PhaseTrajectory(times=dt * np.arange(steps + 1), angles=angles)
 
 
-# bytes of one dB slice of phase_finals; its dQ adds as much while it is
-# symmetrized, and its du and dv arrays half that (a slice of 1 MiB or more
-# is read ahead in halves, see batch_finals)
+# bytes of one dB slice of phase_finals, read ahead in halves as in
+# batch_finals; a half's dQ adds as much while it is symmetrized, and its du
+# and dv arrays half that
 _PHASE_CHUNK_BYTES = 1 << 26
 
 
 def phase_finals(phi0: float, T: float, dt: float, seed: int, replicates: int) -> np.ndarray:
     """Final wrapped angles over independent replicate substreams, stepped in ``batch_finals`` spans."""
     steps = _step_count(T, dt)
-    finals = np.full(replicates, float(phi0) % TWO_PI)
+    finals = np.full(replicates, _start_angle(phi0))
     for path in noise._spans(seed, replicates, dt, steps, noise._draws(2, False), _PHASE_CHUNK_BYTES):
         phi = finals[path.rows]
         for dq, _ in noise._increments(path):

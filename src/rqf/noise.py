@@ -26,13 +26,13 @@ Vector increments dW are keyed in their own domain, so a path's dB is
 the same with or without dW, and reading dW never draws dB; seeded
 initial grids have a domain of their own too.
 
-Keys make a slice's bits independent of the thread that draws it.  A
-batched replicate read whose slices hold 1 MiB or more therefore draws,
-checks and symmetrizes its next slice on one helper thread while the
-caller steps the current one; numpy releases the GIL while it draws.
-Smaller reads, where the handoff would cost more than the draw, and all
-single-path reads stay on the calling thread.  Nothing else in rqf uses
-threads.
+Keys make a slice's bits independent of the thread that draws it.  The
+kind of read sets where it is drawn: every sphere and circle batch
+(a ``_Replicates`` read through ``_increments``) draws, checks and
+symmetrizes its next half slice on one helper thread while the caller
+steps the current one (numpy releases the GIL while it draws); every
+single-path read, and the z table's scalar read, stays on the calling
+thread.  Nothing else in rqf uses threads.
 """
 
 from __future__ import annotations
@@ -64,10 +64,6 @@ _SLICE_BYTES = 1 << 27
 # replicates read their noise one at a time, so a slice shorter than this
 # many steps costs more in reads than one wide batch saves in step calls
 _MIN_SLICE = 64
-# a replicate read whose slices hold at least this many bytes draws the next
-# slice on a helper thread while the caller steps the current one; below it,
-# the handoff costs more than the draw it hides
-_PREFETCH_BYTES = 1 << 20
 
 _MAX_SEED = 1 << 64
 _MAX_STREAM = 1 << 32
@@ -401,16 +397,14 @@ def _increments(path, scale: float = 1.0):
     on a keyed path, its seed and stream).  dW is None when the path
     yields none.
 
-    A ``_Replicates`` read whose slices hold at least ``_PREFETCH_BYTES``
-    is read in slices of half its ``size``, each drawn, checked and
-    symmetrized on a helper thread while the caller steps the one before
-    (``_ahead``); the bits, the errors and their order are those of the
-    serial read, and the noise in flight stays about 1.5 slices of the
-    full ``size`` instead of 2.  Every other read is serial.
+    A ``_Replicates`` read is read in slices of half its ``size``, each
+    drawn, checked and symmetrized on a helper thread while the caller
+    steps the one before (``_ahead``); the bits, the errors and their order
+    are those of the serial read, and about 1.5 slices of the full
+    ``size`` are in flight.  Every other read is drawn on the calling thread.
     """
     if isinstance(path, _Replicates):
-        if path.count * path.size * _step_bytes(path.draws) >= _PREFETCH_BYTES:
-            return _ahead(_checked(replace(path, size=max(1, path.size // 2)), scale))
+        return _ahead(_checked(replace(path, size=max(1, path.size // 2)), scale))
     return _checked(path, scale)
 
 
@@ -440,7 +434,7 @@ def _ahead(slices):
     for the helper, joins it and closes ``slices``; an item computed for a
     caller that stopped early is dropped unread.
     """
-    from concurrent.futures import ThreadPoolExecutor  # only runs that read ahead import it
+    from concurrent.futures import ThreadPoolExecutor  # imported by the first batch, not at start-up
 
     end = object()
     try:

@@ -138,6 +138,10 @@ class TestMainEntry:
         ("simulate", {"x0": [1e-9, 0.0, 0.0]}, "x0 must be finite with norm >= 1e-08"),
         ("uniformity", {"seed_count": 99}, "uniformity needs seed_count >= 100"),
         ("bias-scan", {"members": 8}, "bias-scan steps a pair: members must be 2"),
+        # the circle reduction has no field parameters (phase is the default model)
+        ("lyapunov", {"T": 1.0, "sigma_q": 2.0}, "sigma_q does not apply to model 'phase'"),
+        ("lyapunov", {"T": 1.0, "model": "phase", "sigma_w": 0.5}, "sigma_w does not apply to model 'phase'"),
+        ("lyapunov", {"T": 1.0, "model": "phase", "sign": 1}, "sign does not apply to model 'phase'"),
     ])
     def test_unrunnable_inputs_are_config_errors(self, tmp_path, capsys, experiment, extra, message):
         # each once ran on the wrong sphere, ran other than asked, or ended in a traceback

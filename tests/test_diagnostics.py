@@ -248,6 +248,16 @@ class TestLyapunovBenettin:
         with pytest.raises(ValueError):
             lyapunov_benettin("unknown", None, 10.0, 1e-3, 0.1)
 
+    def test_unexpected_parameters_rejected(self):
+        # a misspelt key once ran silently on its default, and the phase
+        # model dropped every parameter it was given
+        with pytest.raises(ValueError, match="unexpected sphere parameters: sigmaw$"):
+            lyapunov_benettin("sphere", {"n": 3, "sigmaw": 1.0}, 4.0, 0.01, 0.2, seed=1)
+        with pytest.raises(ValueError, match="unexpected phase parameters: n, sigma_q$"):
+            lyapunov_benettin("phase", {"n": 7, "sigma_q": 5.0}, 4.0, 0.01, 0.2, seed=1)
+        empty = lyapunov_benettin("phase", {}, 4.0, 0.01, 0.2, seed=1)
+        assert empty == lyapunov_benettin("phase", None, 4.0, 0.01, 0.2, seed=1)
+
     @pytest.mark.parametrize("delta0", [0.0, -1e-8, 1e-17, 1e-200])
     @pytest.mark.parametrize("model, params", [("phase", None), ("sphere", {"n": 2}), ("sphere", {"n": 3})])
     def test_unresolvable_delta0_rejected(self, model, params, delta0):

@@ -516,8 +516,8 @@ class TestBatchFinals:
 
 PAIR = np.stack([E1, E2])
 
-# runs whose replicate reads are read ahead once the threshold is 0: one wide
-# span whose 1100 steps cross the block seam, spans of 2 + 1 replicates on
+# batched runs, each of whose replicate reads is read ahead: one wide span
+# whose 1100 steps cross the block seam, spans of 2 + 1 replicates on
 # 64-step slices, 1-step slices that cannot be halved, a bias scan with one
 # sigma_w per member and checkpoints on both sides of the seam, and the
 # circle model
@@ -535,13 +535,13 @@ AHEAD_RUNS = {
 class TestReadAhead:
     @pytest.mark.parametrize("run", AHEAD_RUNS.values(), ids=AHEAD_RUNS.keys())
     def test_read_ahead_equals_serial_bit_exact(self, monkeypatch, run):
+        # the serial side passes each read through on the calling thread
         before = threading.active_count()
-        monkeypatch.setattr(noise, "_PREFETCH_BYTES", math.inf)
+        ahead = noise._ahead
+        monkeypatch.setattr(noise, "_ahead", lambda slices: slices)
         serial = run()
         reads = []
-        ahead = noise._ahead
         monkeypatch.setattr(noise, "_ahead", lambda slices: reads.append(slices) or ahead(slices))
-        monkeypatch.setattr(noise, "_PREFETCH_BYTES", 0)
         assert np.array_equal(run(), serial)
         assert reads
         assert threading.active_count() == before
@@ -562,8 +562,9 @@ class TestReadAhead:
         monkeypatch.setattr(noise, "_slice", poisoned)
         before = threading.active_count()
         messages = []
-        for threshold in (math.inf, 0):
-            monkeypatch.setattr(noise, "_PREFETCH_BYTES", threshold)
+        ahead = noise._ahead
+        for read in (lambda slices: slices, ahead):  # serial on this thread, then ahead
+            monkeypatch.setattr(noise, "_ahead", read)
             with pytest.raises(NumericalError) as err:
                 flows.batch_finals(E1[None], 1.1, 1e-3, 86, 6, chunk_bytes=3 * 64 * 72)
             messages.append(str(err.value))
@@ -572,23 +573,21 @@ class TestReadAhead:
         assert poisoned_on[0] is threading.main_thread()
         assert poisoned_on[1] is not threading.main_thread()
 
-    @pytest.mark.parametrize("threshold, bound", [(noise._PREFETCH_BYTES, 1.5), (math.inf, 2.0)])
-    def test_noise_in_flight_within_its_stated_bound(self, monkeypatch, threshold, bound):
+    def test_noise_in_flight_within_its_stated_bound(self):
         # 2000 replicates of 300 steps in 4 MiB chunks: spans of 667 on 87-step
-        # slices of 4.18 MB, read ahead in 43-step halves or serially.  The
-        # peak allows the stated bound, the reader's generators (under 1.5 KB
-        # each), the output and a few state-sized arrays of the Heun step
+        # slices of 4.18 MB, read ahead in 43-step halves.  The peak allows
+        # the stated bound, the reader's generators (under 1.5 KB each), the
+        # output and a few state-sized arrays of the Heun step
         chunk_bytes, width = 1 << 22, 667
         first = noise._spans(87, 2000, 0.01, 300, noise._draws(3, False), chunk_bytes)[0]
         assert (first.stream, first.stream + first.count, first.size) == (0, width, 87)
-        monkeypatch.setattr(noise, "_PREFETCH_BYTES", threshold)
         tracemalloc.start()
         try:
             out = flows.batch_finals(E1[None], 3.0, 0.01, 87, 2000, chunk_bytes=chunk_bytes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound * chunk_bytes + width * 1536 + out.nbytes + 16 * width * 3 * 8
+        assert peak <= 1.5 * chunk_bytes + width * 1536 + out.nbytes + 16 * width * 3 * 8
 
 
 class TestSimulatePhase:
@@ -619,6 +618,15 @@ class TestSimulatePhase:
         phase_angles = flows.phase_finals(phi0, 1.0, 1e-3, 4500, reps)
         stat, _ = ks_two_sample(sphere_angles, phase_angles)
         assert stat < ks_critical_value(reps, reps, 0.01)
+
+    @pytest.mark.parametrize("phi0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_angle_rejected(self, phi0):
+        # checked as unit_vector checks sphere states; both runners once
+        # returned NaN angles
+        with pytest.raises(ValueError, match="phi0 must be finite"):
+            flows.phase_finals(phi0, 0.1, 1e-2, 0, 3)
+        with pytest.raises(ValueError, match="phi0 must be finite"):
+            flows.simulate_phase(phi0, 0.1, 1e-2, 0)
 
     def test_phase_finals_spans_match_one_span(self, monkeypatch):
         # 96 bytes of dB per slice: one replicate per span, one step per slice

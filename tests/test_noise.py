@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rqf import flows, noise, zprocess
+from rqf import diagnostics, flows, noise, zprocess
 from rqf.errors import NumericalError, ResourceCapError
 from rqf.noise import (
     BLOCK_STEPS,
@@ -233,27 +233,37 @@ class TestIntake:
         with pytest.raises(NumericalError, match=r"at step 7 \(seed 3, stream 6\)$"):
             list(noise._increments(path))
 
-    def test_large_replicate_reads_are_drawn_ahead_in_half_slices(self, monkeypatch):
-        # a read whose 300-step slices reach the threshold is served in
-        # 150-step slices drawn off the calling thread, with the bits of
-        # the serial read; one byte less keeps it serial
+    def test_replicate_reads_are_drawn_ahead_in_half_slices(self, monkeypatch):
+        # a read of 86 KB slices, far below a MiB, is served in 150-step
+        # slices drawn off the calling thread, with the bits of the serial read
         path = noise._Replicates(40, 2, 3, 0.01, 1100, 300, noise._draws(3, True))
-        full = 3 * 300 * noise._step_bytes(noise._draws(3, True))
+        serial = list(noise._checked(path, 1.0))
         drawn_on = []
         real = noise._slice
         monkeypatch.setattr(noise, "_slice", lambda *a: drawn_on.append(threading.current_thread()) or real(*a))
-        reads = []
-        for threshold in (full, full + 1):
-            monkeypatch.setattr(noise, "_PREFETCH_BYTES", threshold)
-            reads.append(list(noise._increments(path)))
-        ahead, serial = reads
+        ahead = list(noise._increments(path))
         assert [dq.shape[1] for dq, _ in ahead] == [150] * 7 + [50]
         assert [dq.shape[1] for dq, _ in serial] == [300] * 3 + [200]
         for i in (0, 1):
             assert np.array_equal(np.concatenate([s[i] for s in ahead], axis=1),
                                   np.concatenate([s[i] for s in serial], axis=1))
-        assert threading.main_thread() not in drawn_on[:8]
-        assert drawn_on[8:] == [threading.main_thread()] * 4
+        assert len(drawn_on) == 8 and threading.main_thread() not in drawn_on
+
+    @pytest.mark.parametrize("run", [
+        lambda: zprocess.simulate_z_finals([0.0, 0.5], 0.5, 1e-2, 7, 30),
+        lambda: flows.simulate_coupled(np.eye(3)[:2], 0.5, 1e-2, 7, sigma_w=0.5),
+        lambda: flows.simulate_phase(0.3, 0.5, 1e-2, 7),
+        lambda: diagnostics.lyapunov_benettin("phase", None, 1.0, 1e-2, 0.1, seed=7),
+        lambda: diagnostics.lyapunov_benettin("sphere", {"n": 2}, 1.0, 1e-2, 0.1, seed=7),
+        lambda: diagnostics.lyapunov_benettin("sphere", {"n": 3, "sigma_w": 0.5}, 1.0, 1e-2, 0.1, seed=7),
+    ], ids=["z-table", "coupled", "phase", "lyapunov-phase", "lyapunov-sphere2", "lyapunov-sphere"])
+    def test_single_path_and_z_table_reads_stay_on_the_calling_thread(self, monkeypatch, run):
+        # the read mode follows the kind of read: only sphere and circle
+        # batches read ahead
+        calls = []
+        monkeypatch.setattr(noise, "_ahead", lambda slices: calls.append(slices) or slices)
+        run()
+        assert calls == []
 
 
 def _wait_for(condition, timeout=5.0):
@@ -468,6 +478,25 @@ def test_only_noise_builds_keys_or_symmetrizes():
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if name in {"Philox", "Generator", "default_rng", "symmetrize"}:
                     offenders.append(f"{source.name}:{node.lineno} {name}")
+    assert not offenders
+
+
+def test_only_noise_uses_threads():
+    # the read-ahead helper is rqf's one thread: no other module may import
+    # threading or concurrent.futures
+    offenders = []
+    for source in sorted(pathlib.Path(noise.__file__).parent.glob("*.py")):
+        if source.name == "noise.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "threading" or name.startswith("concurrent") for name in names):
+                offenders.append(f"{source.name}:{node.lineno}")
     assert not offenders
 
 

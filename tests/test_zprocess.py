@@ -186,6 +186,14 @@ class TestFokkerPlanck:
         samples = simulate_z_finals(0.0, 0.5, 2.5e-4, 103, 100_000)
         assert l1_density_distance(grid, samples) < 0.05
 
+    def test_explicit_steps_follow_the_library_step_count(self):
+        # T / dt_pde = 25000.000000000004 once took 25,001 steps; both runs
+        # take the 25,000 steps of T / 25,000 that flows._steps_to counts
+        p0 = DensityGrid.delta(0.3, 21)
+        a = fokker_planck_evolve(p0, 0.1, 4e-6)
+        b = fokker_planck_evolve(p0, 0.1, 4.00000001e-6)
+        assert np.array_equal(a.masses, b.masses)
+
     def test_zero_horizon_copy(self):
         g = DensityGrid.delta(0.2, 101)
         out = fokker_planck_evolve(g, 0.0)
