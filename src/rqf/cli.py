@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -34,8 +35,9 @@ from . import _svg
 _COMMON_KEYS = {
     "experiment", "n", "T", "dt", "seed", "seed_count", "out_dir", "svg",
 }
-# noise budget of the uniformity and bias-scan batches: their 64-step slices
-# beat one wide span at 2,000 replicates, which made uniformity 7% slower
+# noise budget of the uniformity and bias-scan batches, kept for memory: one
+# 128 MiB span reads uniformity's batch as fast, but took the three batched
+# runs' peak RSS to 118 MB against 69 MB (fresh processes, 2 vCPUs)
 _CHUNK_BYTES = 1 << 22
 
 
@@ -86,9 +88,10 @@ def validate_document(doc: dict) -> list[str]:
         if key in doc and not pred(doc[key]):
             violations.append(message)
 
-    # JSON true and false are ints to Python; neither is a number here
+    # JSON true and false are ints to Python, and json.load reads Infinity
+    # and NaN as floats; none of them is a number here
     is_int = lambda v: isinstance(v, int) and not isinstance(v, bool)
-    is_num = lambda v: is_int(v) or isinstance(v, float)
+    is_num = lambda v: is_int(v) or isinstance(v, float) and math.isfinite(v)
     check("n", lambda v: is_int(v) and v >= 2, "n must be >= 2")
     check("T", lambda v: is_num(v) and v >= 0, "T must be >= 0")
     check("dt", lambda v: is_num(v) and v > 0, "dt must be positive")
@@ -114,9 +117,10 @@ def validate_document(doc: dict) -> list[str]:
         violations.append("dt must not exceed T")
     ri = doc.get("renorm_interval", RunConfig.renorm_interval)
     if exp == "lyapunov" and doc.get("model", RunConfig.model) == "phase":
-        # the circle reduction has no field parameters to set
+        # the circle reduction has no field parameters to set, and n = 2
         violations += [f"{key} does not apply to model 'phase'"
                        for key in ("sigma_q", "sigma_w", "sign") if key in doc]
+        check("n", lambda v: v == 2, "model 'phase' is the circle: n must be 2")
     if exp == "lyapunov" and is_num(T) and is_num(dt) and is_num(ri):
         # the constraints lyapunov_benettin enforces
         if ri <= dt:
@@ -124,22 +128,23 @@ def validate_document(doc: dict) -> list[str]:
         if T < 2 * ri:
             violations.append("T must be >= 2 * renorm_interval")
     check("ratios", lambda v: isinstance(v, list) and v and all(is_num(r) and r >= 0 for r in v),
-          "ratios must be a non-empty list of nonnegative numbers")
+          "ratios must be a non-empty list of finite nonnegative numbers")
     if "matrix" in doc:
         m = doc["matrix"]
-        ok = isinstance(m, list) and m and all(isinstance(r, list) and len(r) == len(m) for r in m)
+        ok = isinstance(m, list) and m and all(isinstance(r, list) and len(r) == len(m)
+                                               and all(is_num(c) for c in r) for r in m)
         if ok:
             arr = np.asarray(m, dtype=float)
             ok = np.allclose(arr, arr.T)
         if not ok:
-            violations.append("matrix must be a square symmetric list of lists")
+            violations.append("matrix must be a square symmetric list of lists of finite numbers")
     if "x0" in doc:
         v, n = doc["x0"], doc.get("n", RunConfig.n)
         if not (isinstance(v, list) and len(v) >= 2 and all(is_num(c) for c in v)):
             violations.append("x0 must be a list of at least 2 numbers")
         elif is_int(n) and len(v) != n:
             violations.append(f"x0 must have n={n} entries")
-        elif not (np.all(np.isfinite(v)) and np.linalg.norm(v) >= MIN_NORM):
+        elif not np.linalg.norm(v) >= MIN_NORM:  # every entry passed is_num, so is finite
             violations.append(f"x0 must be finite with norm >= {MIN_NORM:.0e}")
     if exp == "bias-scan" and doc.get("members", RunConfig.members) != 2:
         violations.append("bias-scan steps a pair: members must be 2")

@@ -86,6 +86,8 @@ def _steps_to(t: float, dt: float) -> int:
 
 
 def _step_count(T: float, dt: float) -> int:
+    if not (math.isfinite(T) and math.isfinite(dt)):
+        raise ValueError(f"T and dt must be finite, got T={T}, dt={dt}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if T < 0:
@@ -260,15 +262,15 @@ def batch_finals(
     spans, one batched Heun step per time step and span; the spans change
     no bit of the result.  ``noise._spans`` cuts them and their noise
     reads: a slice holds a span's increments for as many steps as fit in
-    ``chunk_bytes`` (128 MiB by default), at most one 1024-step block, and a
-    span holds every replicate unless its slices would then be shorter
-    than 64 steps (or than the run).  Any horizon runs: only a run whose
-    one-step slice of one replicate exceeds ``noise.DEFAULT_MEM_CAP``
-    raises ResourceCapError.  Every slice is read in halves, the next half
-    drawn and symmetrized on a helper thread while this thread steps the
-    current one (``noise._increments``), so about 1.5 * ``chunk_bytes`` of
-    noise is in flight, plus each replicate's generators, under 1.5 KB
-    each per block.
+    ``chunk_bytes`` (128 MiB by default), at most one 1024-step block and
+    the run, and a span holds every replicate unless its slices would then
+    be shorter than 64 steps (or than the run).  Any horizon runs: only a
+    run whose one-step slice of one replicate exceeds
+    ``noise.DEFAULT_MEM_CAP`` raises ResourceCapError, at its first read.
+    Every slice is read in halves, the next half drawn and symmetrized on
+    a helper thread while this thread steps the current one
+    (``noise._increments``), so about 1.5 * ``chunk_bytes`` of noise is in
+    flight, plus each replicate's generators, under 1.5 KB each per block.
     ``threads`` is accepted and ignored: the batched step holds the GIL,
     so further stepping threads only slow it.
 

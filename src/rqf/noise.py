@@ -12,10 +12,10 @@ gives
 * streaming reads: one generator, ``_read``, serves every key domain and
   reads consecutive streams in lockstep; it keeps each block's generator
   alive and draws a block only as far as it reads it, never a whole
-  block ahead; ``_spans`` cuts every Monte Carlo run's replicates into
-  those reads, on slices that fit one byte budget, and ``blocks()`` a
-  single path on ``_SLICE_BYTES``.  No horizon is refused: ``_fits``
-  refuses only an array a run holds at once above ``DEFAULT_MEM_CAP``.
+  block ahead; ``_spans``, the one slice rule, cuts every read into
+  slices that fit one byte budget and end with the run, a single path
+  being a one-replicate span.  No horizon is refused: ``_slice``, which
+  allocates every keyed slice, refuses only one above ``DEFAULT_MEM_CAP``.
 
 Matrix increments dB have iid Normal(0, dt) entries; the symmetrized
 increment dQ = (dB + dB^T)/2 then has Var(dQ_ii) = dt and
@@ -118,7 +118,8 @@ def _once(seed: int, stream: int, start: int, steps: int, draws, dt: float):
 def _slice(seed, stream, rngs, start, take, stop, draws, dt, count):
     # rows start..start+take of each stream i, from rngs[i], the generators of
     # its current block; they are dropped when the block or the read (at
-    # ``stop``) ends
+    # ``stop``) ends.  Every keyed draw is allocated, and so capped, here
+    _fits(len(rngs) * take * _step_bytes(draws), f"a noise slice of {take} steps x {len(rngs)} streams")
     outs = [np.empty((len(rngs), take, *shape)) for shape, _ in draws]
     filled = 0
     while filled < take:
@@ -128,9 +129,9 @@ def _slice(seed, stream, rngs, start, take, stop, draws, dt, count):
         for i, held in enumerate(rngs):
             if not held:
                 held += [_block_generator(seed, stream + i, block, domain) for _, domain in draws]
-                if row:  # an offset read enters its first block part way
-                    for rng, (shape, _) in zip(held, draws):
-                        rng.standard_normal((row, *shape))
+                for rng, a in zip(held, outs):  # an offset read enters its first block part way:
+                    for skip in range(0, row, take):  # its prefix is drawn into the slice, then drawn over
+                        rng.standard_normal(out=a[i, : min(take, row - skip)])
             for rng, a in zip(held, outs):
                 rng.standard_normal(out=a[i, filled : filled + got])
             if done:
@@ -182,20 +183,19 @@ class _Replicates:
 def _spans(seed: int, replicates: int, dt: float, steps: int, draws, chunk_bytes: int, min_slice: int = _MIN_SLICE):
     """The reads of replicates 0..replicates-1, one ``_Replicates`` per span.
 
-    A span's replicates step together on slices of at most ``chunk_bytes``
-    and one block.  All replicates form one span unless its slices would
-    be shorter than ``min(steps, min_slice)`` steps; the spans are then
-    equal.  The horizon is not capped: only a run whose smallest slice,
-    one step of one replicate, exceeds DEFAULT_MEM_CAP raises (``_fits``).
+    The one slice rule: a span's replicates step together on slices of at
+    most ``chunk_bytes``, one block and the run.  All replicates form one
+    span unless its slices would be shorter than ``min(steps, min_slice)``
+    steps; the spans are then equal.  Nothing is capped here: ``_slice``
+    refuses a slice over DEFAULT_MEM_CAP (``_fits``) as it draws it.
     """
     if replicates < 0 or chunk_bytes < 1:
         raise ValueError("replicates must be >= 0 and chunk_bytes >= 1")
     per_step = _step_bytes(draws)
-    _fits(per_step, "one step of one replicate's noise")
     fit = max(1, chunk_bytes // (per_step * max(1, min(steps, min_slice))))
     count = max(1, -(-replicates // fit))
     width = max(1, -(-replicates // count))  # equal spans of at most ``fit`` replicates
-    size = min(BLOCK_STEPS, max(1, chunk_bytes // (width * per_step)))
+    size = max(1, min(steps, BLOCK_STEPS, chunk_bytes // (width * per_step)))
     return [_Replicates(seed, lo, min(width, replicates - lo), dt, steps, size, draws)
             for lo in range(0, replicates, width)]
 
@@ -238,15 +238,15 @@ class NoisePath:
 
     def blocks(self, chunk: int | None = None):
         """Consecutive ``(dB, dW)`` chunks of at most ``chunk`` steps; by
-        default a block, or the steps (at least one) that fit in ``_SLICE_BYTES``.
+        default the slices of a one-replicate span on ``_SLICE_BYTES`` (``_spans``).
 
         ``dW`` is None when the path carries no vector increments.  Chunks
         are drawn from the key as they are requested and nothing is cached;
-        a suspended reader holds no chunk.
+        a suspended reader holds none, and one over DEFAULT_MEM_CAP raises.
         """
         draws = _draws(self.n, self.with_vector)
         if chunk is None:
-            chunk = min(BLOCK_STEPS, max(1, _SLICE_BYTES // _step_bytes(draws)))
+            chunk = _spans(self.seed, 1, self.dt, self.steps, draws, _SLICE_BYTES)[0].size
         elif chunk < 1:
             raise ValueError("chunk must be >= 1")
         return _read(self.seed, self.stream, self.offset, self.steps, chunk, draws, self.dt)
@@ -256,7 +256,6 @@ class NoisePath:
         if vector and not self.with_vector:
             raise ValueError("path was generated without vector increments")
         draw = ((self.n,), _VECTOR_DOMAIN) if vector else ((self.n, self.n), _MATRIX_DOMAIN)
-        _fits(steps * _step_bytes((draw,)), f"{steps} steps of {'dW' if vector else 'dB'} at n={self.n}")
         return _once(self.seed, self.stream, self.offset + k, steps, (draw,), self.dt)[0]
 
     def _increment(self, k: int, vector: bool) -> np.ndarray:
@@ -343,9 +342,9 @@ def generate_path(
     Deterministic in (seed, n, dt, steps, stream).  Nothing is drawn or
     cached here: ``matrix_increments`` and ``vector_increments`` draw from
     the key on each access, and ``blocks()`` streams.  ``materialize``
-    only checks that the whole path fits in ``DEFAULT_MEM_CAP`` bytes and
-    raises ResourceCapError if not; pass ``materialize=False`` for a path
-    read only through ``blocks()``, which holds one slice at a time.
+    checks at once that the whole path fits in ``DEFAULT_MEM_CAP`` bytes,
+    raising ResourceCapError if not; with ``materialize=False`` only the
+    slices ``blocks()`` reads, one at a time, are capped as they are drawn.
     """
     path = NoisePath(seed=seed, n=n, dt=dt, steps=steps, with_vector=with_vector, stream=stream)
     if materialize:

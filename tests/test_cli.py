@@ -96,7 +96,17 @@ class TestMainEntry:
         assert rc == 4
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "resource"
-        assert "one step of one replicate's noise" in err["error"]["message"]
+        assert "a noise slice of 1 steps x 1 streams needs 2147483648 bytes" in err["error"]["message"]
+
+    def test_single_path_over_the_cap_exit_code(self, tmp_path, capsys):
+        # a single path's one-step dB slice is 1.07 GB at n = 11586, as a
+        # batch's is: the one cap check refuses it before it is drawn
+        doc = {"experiment": "coupled", "n": 11586, "T": 0.01, "dt": 1e-2, "seed": 1,
+               "out_dir": str(tmp_path / "runs")}
+        path = write_config(tmp_path, doc)
+        assert cli.main(["coupled", "--config", path]) == 4
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "resource" and "needs 1073883168 bytes" in err["message"]
 
     @pytest.mark.parametrize("experiment, extra", [("coupled", {"members": 2}), ("simulate", {})])
     def test_unallocatable_output_exit_code(self, tmp_path, capsys, experiment, extra):
@@ -142,6 +152,13 @@ class TestMainEntry:
         ("lyapunov", {"T": 1.0, "sigma_q": 2.0}, "sigma_q does not apply to model 'phase'"),
         ("lyapunov", {"T": 1.0, "model": "phase", "sigma_w": 0.5}, "sigma_w does not apply to model 'phase'"),
         ("lyapunov", {"T": 1.0, "model": "phase", "sign": 1}, "sign does not apply to model 'phase'"),
+        ("lyapunov", {"T": 1.0, "model": "phase", "n": 7}, "model 'phase' is the circle: n must be 2"),
+        # json.load reads Infinity, which is no number here
+        ("uniformity", {"T": math.inf, "seed_count": 100}, "T must be >= 0"),
+        ("bias-scan", {"ratios": [0.0, math.inf]}, "ratios must be a non-empty list of finite nonnegative numbers"),
+        ("lyapunov", {"T": 1.0, "delta0": math.inf}, "delta0 must be >= 1e-12"),
+        ("dqf", {"matrix": [[1.0, math.inf, 0.0], [math.inf, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+         "matrix must be a square symmetric list of lists of finite numbers"),
     ])
     def test_unrunnable_inputs_are_config_errors(self, tmp_path, capsys, experiment, extra, message):
         # each once ran on the wrong sphere, ran other than asked, or ended in a traceback
@@ -179,6 +196,11 @@ class TestMainEntry:
         path = write_config(tmp_path, dict(BASE, out_dir=str(tmp_path / "runs")), "in_range.json")
         assert cli.main(["zprocess", "--config", path, "--seed", str(seed)]) == 2
         assert not (tmp_path / "runs").exists()
+
+    def test_phase_config_without_n_or_at_n_2_is_valid(self):
+        doc = {"experiment": "lyapunov", "model": "phase", "T": 1.0, "dt": 1e-2}
+        assert cli.validate_document(doc) == []
+        assert cli.validate_document(dict(doc, n=2)) == []
 
     @pytest.mark.parametrize("delta0", [0, 1e-17])
     def test_unresolvable_delta0_is_a_config_error(self, delta0):

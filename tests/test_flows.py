@@ -31,6 +31,12 @@ class TestSimulateRqf:
         assert len(traj.times) == 101
         assert np.allclose(np.diff(traj.times), 1e-2)
 
+    @pytest.mark.parametrize("T, dt", [(math.inf, 0.01), (1.0, math.inf), (math.nan, 0.01), (1.0, math.nan)])
+    def test_non_finite_horizon_or_step_rejected(self, T, dt):
+        for run in (lambda: flows.batch_finals(E1[None], T, dt, 1, 2), lambda: zprocess.simulate_z(0.0, T, dt, 1)):
+            with pytest.raises(ValueError, match="T and dt must be finite"):
+                run()
+
     def test_states_stay_unit(self):
         traj = flows.simulate_rqf(E1, 1.0, 1e-2, 3)
         assert np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)) < 1e-12
@@ -383,10 +389,11 @@ class TestBatchFinals:
             flows.batch_finals(E1[None, :], 0.1, 1e-2, 81, replicates, chunk_bytes=chunk_bytes)
 
     @pytest.mark.parametrize("replicates, steps, count", [(100_000, 10, 18), (2000, 300, 3), (7, 1100, 1),
-                                                          (100, 10**8, 1)])
+                                                          (100, 10**8, 1), (8, 300, 1)])
     def test_spans_cover_replicates_within_chunk_bytes(self, replicates, steps, count):
-        # slices hold at least min(steps, 64) steps; a 10-step run gets
-        # whole-run slices, not 64-step ones; no horizon is refused
+        # slices hold at least min(steps, 64) steps and never run past the
+        # run; a 10-step run gets whole-run slices, not 64-step ones; no
+        # horizon is refused
         per_step, chunk_bytes = 72, 1 << 22
         draws = noise._draws(3, False)
         assert noise._step_bytes(draws) == per_step
@@ -397,7 +404,7 @@ class TestBatchFinals:
         for span in spans:
             assert (span.seed, span.dt, span.steps, span.draws) == (88, 1e-2, steps, draws)
             assert span.count * span.size * per_step <= chunk_bytes
-            assert span.size >= min(steps, noise._MIN_SLICE)
+            assert min(steps, noise._MIN_SLICE) <= span.size <= steps
 
     def test_horizon_over_a_gib_of_draws_matches_coupled_bit_exact(self):
         # 2,100 steps at n = 256 draw 1.1 GB in all, in 8-step slices of 4 MiB
@@ -572,6 +579,19 @@ class TestReadAhead:
         assert messages == ["non-finite noise increment at step 700 (seed 86, stream 4)"] * 2
         assert poisoned_on[0] is threading.main_thread()
         assert poisoned_on[1] is not threading.main_thread()
+
+    def test_run_shorter_than_a_slice_is_read_ahead_in_halves(self, monkeypatch):
+        # 8 replicates of 300 steps fit one 128 MiB slice, which ends with the
+        # run: it is read in two 150-step halves, both drawn on the helper
+        # while this thread steps, and keeps the single runs' bits
+        real, drawn = noise._slice, []
+        monkeypatch.setattr(noise, "_slice", lambda *a: drawn.append((a[3], a[4], threading.current_thread()))
+                            or real(*a))
+        fin = flows.batch_finals(E1[None], 3.0, 0.01, 5, 8)
+        assert [(start, take) for start, take, _ in drawn] == [(0, 150), (150, 150)]
+        assert threading.main_thread() not in [thread for *_, thread in drawn]
+        for r in range(8):
+            assert np.array_equal(fin[r], flows.simulate_coupled([E1], 3.0, 0.01, 5, stream=r).final_states)
 
     def test_noise_in_flight_within_its_stated_bound(self):
         # 2000 replicates of 300 steps in 4 MiB chunks: spans of 667 on 87-step

@@ -2,6 +2,7 @@ import ast
 import pathlib
 import threading
 import time
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -71,6 +72,55 @@ class TestGeneratePath:
         dw = np.concatenate([w for _, w in p.blocks(chunk=700)])
         assert np.array_equal(db, p.matrix_increments)
         assert np.array_equal(dw, p.vector_increments)
+
+
+
+# keyed reads whose one slice is over the 1 GiB cap: a single path's
+# one-step slice from n = 11,586 (11,585 with dW), an explicit 9.8 GB chunk,
+# and a scalar table one step over a GiB
+OVER_CAP_READS = {
+    "one-step": lambda: list(NoisePath(0, 11586, 0.1, 1).blocks()),
+    "one-step-dw": lambda: list(NoisePath(0, 11585, 0.1, 1, with_vector=True).blocks()),
+    "chunk": lambda: next(NoisePath(0, 64, 0.1, 300_000).blocks(300_000)),
+    "scalar": lambda: scalar_increments(0, 2**27 + 1, 0.1),
+}
+
+
+class TestCapWhereAllocated:
+    @pytest.mark.parametrize("read", OVER_CAP_READS.values(), ids=OVER_CAP_READS.keys())
+    def test_slice_over_the_cap_raises_before_any_draw(self, monkeypatch, read):
+        def drawn(*args):
+            raise AssertionError("a generator was built for a slice over the cap")
+
+        monkeypatch.setattr(noise, "_block_generator", drawn)
+        with pytest.raises(ResourceCapError, match="needs .* bytes at once"):
+            read()
+
+    def test_cap_counts_every_stream_and_draw_of_a_slice(self, monkeypatch):
+        # with a cap of 10 steps of one n = 3 stream with dW, a path reads
+        # 10-step chunks and two replicates 5-step slices, and no more
+        draws = noise._draws(3, True)
+        monkeypatch.setattr(noise, "DEFAULT_MEM_CAP", 10 * noise._step_bytes(draws))
+        path = NoisePath(0, 3, 0.1, 20, True)
+        assert next(path.blocks(10))[0].shape == (10, 3, 3)
+        assert next(noise._Replicates(0, 0, 2, 0.1, 20, 5, draws).blocks())[1].shape == (2, 5, 3)
+        for read in (path.blocks(11), noise._Replicates(0, 0, 2, 0.1, 20, 6, draws).blocks()):
+            with pytest.raises(ResourceCapError):
+                next(read)
+
+    @pytest.mark.parametrize("offset", [1000, 1023])
+    def test_offset_read_draws_its_prefix_within_the_slice(self, offset):
+        # a read that starts part way into a block skips its first rows by
+        # drawing them into the slice itself, so the cap on the slice bounds
+        # them too: one 32 KB step, not a 32 MB prefix
+        path = shift_path(NoisePath(37, 64, 0.1, 3000), offset)
+        tracemalloc.start()
+        try:
+            path.matrix_increment(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * noise._step_bytes(noise._draws(64, False))
 
 
 def _whole_block_reference(path):
@@ -501,8 +551,10 @@ def test_only_noise_uses_threads():
 
 
 def test_one_function_refuses_resources():
-    # every ResourceCapError in rqf is raised by noise._fits
-    raisers = []
+    # every ResourceCapError in rqf is raised by noise._fits, and _fits is
+    # called where keyed noise is allocated (_slice), by the eager check of
+    # generate_path, and for the Fokker-Planck eigenvectors
+    raisers, callers = [], []
     for source in sorted(pathlib.Path(noise.__file__).parent.glob("*.py")):
         tree = ast.parse(source.read_text())
         for fn in ast.walk(tree):
@@ -513,4 +565,7 @@ def test_one_function_refuses_resources():
                         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                         if name == "ResourceCapError":
                             raisers.append(f"{source.name}:{fn.name}")
+                        elif name == "_fits":
+                            callers.append(f"{source.name}:{fn.name}")
     assert raisers == ["noise.py:_fits"]
+    assert sorted(callers) == ["noise.py:_slice", "noise.py:generate_path", "zprocess.py:fokker_planck_evolve"]
