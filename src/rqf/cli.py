@@ -144,8 +144,11 @@ def validate_document(doc: dict) -> list[str]:
             violations.append("x0 must be a list of at least 2 numbers")
         elif is_int(n) and len(v) != n:
             violations.append(f"x0 must have n={n} entries")
-        elif not np.linalg.norm(v) >= MIN_NORM:  # every entry passed is_num, so is finite
-            violations.append(f"x0 must be finite with norm >= {MIN_NORM:.0e}")
+        else:
+            try:  # the library's normalisation rule; every entry passed is_num, so is finite
+                unit_vector(v)
+            except ValueError:
+                violations.append(f"x0 must be finite with norm >= {MIN_NORM:.0e}")
     if exp == "bias-scan" and doc.get("members", RunConfig.members) != 2:
         violations.append("bias-scan steps a pair: members must be 2")
     seed_count = doc.get("seed_count", RunConfig.seed_count)

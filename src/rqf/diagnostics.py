@@ -400,6 +400,8 @@ def lyapunov_benettin(
     ``"sphere"`` (params: n, sigma_q, sigma_w, sign).  Any other key
     raises ValueError rather than being ignored.
     """
+    if not all(map(math.isfinite, (T, dt, renorm_interval))):
+        raise ValueError(f"T, dt and renorm_interval must be finite, got {T}, {dt}, {renorm_interval}")
     if dt <= 0 or renorm_interval <= dt:
         raise ValueError("need renorm_interval > dt > 0")
     if not delta0 >= MIN_DELTA0:

@@ -289,8 +289,9 @@ def batch_finals(
     steps = _step_count(T, dt)
     with_vector = bool(np.any(w_scale != 0.0))
     reads = noise._spans(seed, replicates, dt, steps, noise._draws(n, with_vector), chunk_bytes)
-    cp_steps = [steps] if checkpoints is None else [_steps_to(t, dt) for t in checkpoints]
-    if max(cp_steps, default=0) > steps or checkpoints is not None and min(checkpoints, default=0) < 0:
+    # a checkpoint is range-checked before it is rounded, which a non-finite time cannot be
+    cp_steps = [steps] if checkpoints is None else [_steps_to(t, dt) for t in checkpoints if 0 <= t < math.inf]
+    if checkpoints is not None and len(cp_steps) < len(checkpoints) or max(cp_steps, default=0) > steps:
         raise ValueError(f"checkpoints must lie in [0, T={T}]")
     out = np.empty((len(cp_steps), replicates, m, n))
     at: dict[int, list[int]] = {}  # step -> the output rows it fills

@@ -33,7 +33,8 @@ def unit_vector(coords) -> np.ndarray:
     Idempotent: a vector whose computed norm is within 4 eps of 1 is
     returned as is (dividing by that roundoff would only move its last
     bits), so a second call changes no bit.  Odd: the result for
-    ``-coords`` is the negation of the result for ``coords``.
+    ``-coords`` is the negation of the result for ``coords``.  A vector
+    whose norm overflows is divided by its largest |entry| first.
 
     Parameters
     ----------
@@ -50,7 +51,11 @@ def unit_vector(coords) -> np.ndarray:
         raise ValueError(f"expected a vector of dimension >= 2, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("coordinates must be finite")
-    nrm = float(np.linalg.norm(x))
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(x))
+    if nrm == np.inf:  # finite entries whose squares overflow: scale by the largest first
+        x = x / np.abs(x).max()
+        nrm = float(np.linalg.norm(x))
     if nrm < MIN_NORM:
         raise ValueError(f"norm {nrm:.3e} below {MIN_NORM:.0e}; direction undefined")
     out = x.copy() if abs(nrm - 1.0) <= 4.0 * np.finfo(float).eps else x / nrm

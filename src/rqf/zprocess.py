@@ -28,7 +28,7 @@ same generator instead, kept as the cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
@@ -242,23 +242,20 @@ def max_stable_dt(m: int) -> float:
     return h * h / (2.0 * 1.0 + h * a_max)
 
 
-def _fp_coefficients(grid: DensityGrid):
-    """Upwind parts of the drift on the interior faces, and D = Sigma at the cells."""
-    a_face = z_drift(grid.edges[1:-1])
-    return np.maximum(a_face, 0.0), np.minimum(a_face, 0.0), sigma_z(grid.centers)
-
-
 def _fp_rates(grid: DensityGrid):
     """Transfer rates across the interior faces of the finite-volume generator A.
 
-    ``right[i]`` carries mass from cell i to cell i+1 and ``left[i]`` from
-    cell i+1 back to cell i, so A has sub-diagonal ``right``,
-    super-diagonal ``left`` and the diagonal that zeroes every column sum.
-    Both are strictly positive: D > 0 at every cell center.
+    The flux across a face is upwind advection of p plus a centered
+    difference of D p, D = Sigma at the cell centers.  ``right[i]``
+    carries mass from cell i to cell i+1 and ``left[i]`` from cell i+1
+    back to cell i, so A has sub-diagonal ``right``, super-diagonal
+    ``left`` and the diagonal that zeroes every column sum.  Both are
+    strictly positive: D > 0 at every cell center.
     """
     h = grid.h
-    a_pos, a_neg, d_cell = _fp_coefficients(grid)
-    return (a_pos + d_cell[:-1] / h) / h, (d_cell[1:] / h - a_neg) / h
+    a_face = z_drift(grid.edges[1:-1])
+    d_cell = sigma_z(grid.centers)
+    return (np.maximum(a_face, 0.0) + d_cell[:-1] / h) / h, (d_cell[1:] / h - np.minimum(a_face, 0.0)) / h
 
 
 def _fp_symmetrized(grid: DensityGrid):
@@ -304,13 +301,13 @@ def fokker_planck_evolve(p0: DensityGrid, T: float, dt_pde: float | None = None)
     one step-count rule (``flows._steps_to``); a value above the stability
     bound raises with the bound in the message.
     """
-    if T < 0:
-        raise ValueError("T must be >= 0")
+    if not 0 <= T < inf:
+        raise ValueError(f"T must be finite and >= 0, got T={T}")
     m = p0.m
     if dt_pde is None:
         noise._fits(8 * m * m, f"the spectral Fokker-Planck solve's eigenvectors at m={m}")
-    elif dt_pde <= 0:
-        raise ValueError("dt_pde must be positive")
+    elif not dt_pde > 0:
+        raise ValueError(f"dt_pde must be positive, got dt_pde={dt_pde}")
     elif dt_pde > max_stable_dt(m):
         raise ValueError(
             f"dt_pde={dt_pde!r} violates the explicit stability bound; "
@@ -345,20 +342,14 @@ def _fp_spectral(p0: DensityGrid, T: float) -> DensityGrid:
 
 
 def _fp_explicit(p0: DensityGrid, T: float, dt_pde: float) -> DensityGrid:
-    m = p0.m
-    h = p0.h
+    # forward Euler on the generator the spectral solve diagonalises
     steps = _steps_to(T, dt_pde)
     dt = T / steps
-    a_pos, a_neg, d_cell = _fp_coefficients(p0)
-
+    right, left = _fp_rates(p0)
     mass = p0.masses.copy()
-    flux = np.empty(m + 1)
-    flux[0] = flux[-1] = 0.0
+    flux = np.zeros(p0.m + 1)  # the boundary faces carry none
     for _ in range(steps):
-        p = mass / h
-        dp = d_cell * p
-        # upwind: positive velocity carries the left cell, negative the right
-        flux[1:-1] = a_pos * p[:-1] + a_neg * p[1:] - (dp[1:] - dp[:-1]) / h
+        flux[1:-1] = right * mass[:-1] - left * mass[1:]
         mass -= dt * (flux[1:] - flux[:-1])
     return DensityGrid(mass)
 

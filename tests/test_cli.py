@@ -119,6 +119,16 @@ class TestMainEntry:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["kind"] == "resource" and "Unable to allocate" in err["message"]
 
+    def test_x0_whose_norm_overflows_runs_from_its_direction(self, tmp_path):
+        # validated by the library's rule: such an x0 was once accepted and
+        # normalised to the zero vector
+        doc = {"experiment": "simulate", "x0": [1e308, 1e308, 0.0], "T": 0.05, "dt": 1e-2, "seed": 2,
+               "out_dir": str(tmp_path / "runs")}
+        assert cli.validate_document(doc) == []
+        assert cli.main(["simulate", "--config", write_config(tmp_path, doc)]) == 0
+        first = (tmp_path / "runs" / "simulate-2" / "trajectory.csv").read_text().splitlines()[1]
+        assert first == f"0.0,0,{1 / math.sqrt(2)!r},{1 / math.sqrt(2)!r},0.0"
+
     def test_default_x0_is_e1_without_an_identity_matrix(self):
         # np.eye(100_000) would need 80 GB
         x0 = cli._default_x0(cli.RunConfig("simulate", n=100_000))

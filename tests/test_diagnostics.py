@@ -248,6 +248,13 @@ class TestLyapunovBenettin:
         with pytest.raises(ValueError):
             lyapunov_benettin("unknown", None, 10.0, 1e-3, 0.1)
 
+    @pytest.mark.parametrize("T, dt, renorm_interval", [(math.inf, 1e-2, 0.1), (math.nan, 1e-2, 0.1),
+                                                        (1.0, math.nan, 0.1), (1.0, 1e-2, math.nan)])
+    def test_non_finite_times_rejected_by_name(self, T, dt, renorm_interval):
+        # an infinite T once raised OverflowError, and a NaN "cannot convert float NaN"
+        with pytest.raises(ValueError, match="T, dt and renorm_interval must be finite"):
+            lyapunov_benettin("phase", None, T, dt, renorm_interval)
+
     def test_unexpected_parameters_rejected(self):
         # a misspelt key once ran silently on its default, and the phase
         # model dropped every parameter it was given

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -38,6 +40,17 @@ class TestUnitVector:
     def test_rejects_dimension_one(self):
         with pytest.raises(ValueError):
             unit_vector([1.0])
+
+    def test_overflowing_norm_is_rescaled_not_zeroed(self):
+        # the norm of these finite entries overflows: they once gave the zero
+        # vector and a numpy overflow warning
+        big = np.array([1e308, 1e308, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = unit_vector(big)
+            assert np.array_equal(x, np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
+            assert np.array_equal(unit_vector(-big), -x)
+            assert np.array_equal(unit_vector(x), x)
 
     def test_read_only(self):
         x = unit_vector([1.0, 0.0])

@@ -569,3 +569,35 @@ def test_one_function_refuses_resources():
                             callers.append(f"{source.name}:{fn.name}")
     assert raisers == ["noise.py:_fits"]
     assert sorted(callers) == ["noise.py:_slice", "noise.py:generate_path", "zprocess.py:fokker_planck_evolve"]
+
+
+def test_every_noise_budget_is_a_named_constant():
+    # the inventory of byte budgets that cut keyed reads: every noise._spans
+    # call and every chunk_bytes= argument names a module constant, or the
+    # calling function's own chunk_bytes parameter (shown with its default),
+    # so a literal budget or a new budget constant cannot go in unnoticed
+    budgets = []
+    for source in sorted(pathlib.Path(noise.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(source.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args.args + fn.args.kwonlyargs
+            defaults = dict(zip([a.arg for a in args][::-1], (fn.args.defaults + fn.args.kw_defaults)[::-1]))
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                spans = (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "_spans"
+                given = (node.args[5:6] if spans else []) + [k.value for k in node.keywords if k.arg == "chunk_bytes"]
+                for budget in map(ast.unparse, given):
+                    if budget == "chunk_bytes" and "chunk_bytes" in defaults:
+                        budget = "chunk_bytes=" + ast.unparse(defaults["chunk_bytes"])
+                    budgets.append((f"{source.name}:{fn.name}", budget))
+    assert sorted(budgets) == [
+        ("cli.py:_exp_bias_scan", "_CHUNK_BYTES"),
+        ("cli.py:_exp_uniformity", "_CHUNK_BYTES"),
+        ("flows.py:batch_finals", "chunk_bytes=noise._SLICE_BYTES"),
+        ("flows.py:phase_finals", "_PHASE_CHUNK_BYTES"),
+        ("noise.py:blocks", "_SLICE_BYTES"),
+        ("zprocess.py:simulate_z_finals", "_Z_CHUNK_BYTES"),
+    ]

@@ -194,6 +194,24 @@ class TestFokkerPlanck:
         b = fokker_planck_evolve(p0, 0.1, 4.00000001e-6)
         assert np.array_equal(a.masses, b.masses)
 
+    @pytest.mark.parametrize("T", [math.inf, math.nan])
+    @pytest.mark.parametrize("dt_pde", [None, 1e-4])
+    def test_non_finite_horizon_rejected_by_name(self, T, dt_pde):
+        # the spectral solve once blamed the cell count, and the explicit loop
+        # raised OverflowError or "cannot convert float NaN"
+        with pytest.raises(ValueError, match="T must be finite and >= 0"):
+            fokker_planck_evolve(DensityGrid.uniform(21), T, dt_pde)
+
+    @pytest.mark.parametrize("z0", [-0.99, 0.3, 0.999])
+    def test_explicit_step_conserves_mass_and_sign(self, z0):
+        # one step at 0.9 x the stability bound moves mass only between
+        # cells: the total stays 1 to roundoff and no cell goes negative
+        p0 = DensityGrid.delta(z0, 51)
+        dt = 0.9 * max_stable_dt(51)
+        step = fokker_planck_evolve(p0, dt, dt_pde=dt).masses
+        assert abs(step.sum() - 1.0) < 1e-14
+        assert step.min() >= 0.0 and not np.array_equal(step, p0.masses)
+
     def test_zero_horizon_copy(self):
         g = DensityGrid.delta(0.2, 101)
         out = fokker_planck_evolve(g, 0.0)
