@@ -4,9 +4,9 @@ Subpackages
 -----------
 geometry     sphere primitives (unit vectors, tangent projection, distances)
 noise        seeded matrix/vector Brownian increments with time-shift views
-integrators  Heun sphere steps, the scalar inner-product step, exact flows
+integrators  Heun sphere steps and the exact quadratic-form flow
 flows        trajectory/ensemble simulation and batched Monte Carlo
-zprocess     the inner-product diffusion: closed forms, simulation, Fokker-Planck
+zprocess     the pair's inner-product law: closed forms, Euler-Maruyama, Fokker-Planck
 diagnostics  uniformity tests, cluster detection, Lyapunov estimation
 cli          the ``rqf`` command-line entry point
 """
@@ -24,7 +24,7 @@ from .geometry import (
     unit_vector,
 )
 from .noise import ArrayPath, NoisePath, generate_path, scalar_increments, shift_path, symmetrize
-from .integrators import StepResult, dominant_eigenspace, dqf_exact, em_step_z, heun_step_bias, heun_step_rqf
+from .integrators import StepResult, dominant_eigenspace, dqf_exact, heun_step_bias, heun_step_rqf
 from .flows import (
     Ensemble,
     PhaseTrajectory,
@@ -43,6 +43,7 @@ from .flows import (
 from .zprocess import (
     DensityGrid,
     ZTrajectory,
+    em_step_z,
     fokker_planck_evolve,
     hit_up_probability,
     l1_density_distance,

@@ -10,12 +10,14 @@ periodic renormalization of the separation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import special
 
 from . import flows, noise
+from .geometry import sphere_distance
 from .integrators import _scales
 
 __all__ = [
@@ -36,13 +38,10 @@ __all__ = [
 
 
 def sync_metric(x, y) -> float:
-    """min(dist(x, y), dist(x, -y)): zero for both polar and anti-polar pairs."""
+    """min(dist(x, y), dist(x, -y)): zero for both polar and anti-polar pairs; NaN stays NaN."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    c = min(1.0, max(-1.0, float(np.dot(x, y))))
-    return min(float(np.arccos(c)), float(np.arccos(-c)))
+    return min(sphere_distance(x, y), sphere_distance(x, -y))
 
 
 # -- uniformity ---------------------------------------------------------------
@@ -223,8 +222,8 @@ def attractor_detect(final_states, diameter_tol: float) -> ClusterSummary:
     mass fraction.  Detection is flagged as failed (k = 0) instead of
     raising.
     """
-    if diameter_tol <= 0:
-        raise ValueError("diameter_tol must be positive")
+    if not diameter_tol > 0:
+        raise ValueError(f"diameter_tol must be positive, got {diameter_tol}")
     arr = np.asarray(final_states, dtype=float)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError("need a non-empty (count, n) array of states")
@@ -414,7 +413,9 @@ def lyapunov_benettin(
     allowed = {"n", "sigma_q", "sigma_w", "sign"} if model == "sphere" else set()
     if unexpected := sorted(map(str, set(params) - allowed)):
         raise ValueError(f"unexpected {model} parameters: {', '.join(unexpected)}")
-    n = int(params.get("n", 2))
+    n = params.get("n", 2)
+    if not isinstance(n, numbers.Integral):  # int() would run n=2.7 as n=2
+        raise TypeError(f"sphere parameter n must be an integer, got {n!r}")
     q_scale, w_scale = _scales(float(params.get("sigma_q", 1.0)), float(params.get("sigma_w", 0.0)),
                                float(params.get("sign", -1.0)))
     spi, intervals = _benettin_grid(T, dt, renorm_interval)

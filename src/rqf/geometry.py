@@ -97,12 +97,14 @@ def sphere_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Geodesic (great-circle) distance between two unit vectors, in [0, pi].
 
     The inner product is clamped to [-1, 1] before arccos so numerically
-    collinear points do not produce NaN.
+    collinear points do not produce NaN; a NaN inner product stays NaN
+    (``min`` and ``max`` return their first argument when a comparison
+    with NaN fails).
     """
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     c = float(np.dot(x, y))
-    return float(np.arccos(min(1.0, max(-1.0, c))))
+    return float(np.arccos(max(min(c, 1.0), -1.0)))
 
 
 def antipode(x: np.ndarray) -> np.ndarray:

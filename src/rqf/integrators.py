@@ -1,4 +1,4 @@
-"""One-step numerical schemes.
+"""One-step schemes and the exact flow on the sphere.
 
 * Heun predictor-corrector for the Stratonovich sphere flows (quadratic
   matrix noise and/or linear vector noise), with renormalization to the
@@ -6,7 +6,6 @@
   (replicate, member) stacks in the trajectory loop of ``rqf.flows``.  The
   flow itself preserves the sphere, so the pre-renormalization defect is
   pure discretization error and is reported alongside the state.
-* Euler-Maruyama step for the scalar inner-product diffusion on [-1, 1].
 * The exact solution map of the deterministic quadratic-form gradient
   flow, x(t) = exp(tM) x0 / ||exp(tM) x0||.
 """
@@ -14,7 +13,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
@@ -24,12 +22,9 @@ __all__ = [
     "StepResult",
     "dominant_eigenspace",
     "dqf_exact",
-    "em_step_z",
     "heun_step_bias",
     "heun_step_rqf",
 ]
-
-_SQRT2 = sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -128,24 +123,6 @@ def heun_step_bias(
     return _single_step(x, dq, dw if w_scale != 0.0 else None, q_scale, w_scale)
 
 
-def em_step_z(z: float, db: float, dt: float) -> float:
-    """Euler-Maruyama step of dZ = 2Z(1-Z^2) dt + sqrt(2)(1-Z^2) dB.
-
-    The result is clamped to [-1, 1]; both coefficients vanish at the
-    boundaries, so +-1 are exact fixed points.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return min(1.0, max(-1.0, z + _em_z_increment(z, db, dt)))
-
-
-def _em_z_increment(z, db, dt: float):
-    # drift and noise terms of one Euler-Maruyama step of the z diffusion,
-    # for floats and for arrays; every z stepper adds this to z, then clamps
-    one_minus = 1.0 - z * z
-    return 2.0 * z * one_minus * dt + _SQRT2 * one_minus * db
-
-
 def dqf_exact(m: np.ndarray, x0: np.ndarray, t) -> np.ndarray:
     """Exact solution exp(tM) x0 / ||exp(tM) x0|| of the quadratic gradient flow.
 
@@ -155,8 +132,8 @@ def dqf_exact(m: np.ndarray, x0: np.ndarray, t) -> np.ndarray:
     of times, giving (len(t), n) from one decomposition of M.
     """
     times = np.asarray(t, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("t must be >= 0")
+    if not np.all((times >= 0) & (times < np.inf)):
+        raise ValueError(f"t must be finite and >= 0, got t={t}")
     m = np.asarray(m, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     if np.any(times != 0.0):

@@ -118,7 +118,10 @@ def _once(seed: int, stream: int, start: int, steps: int, draws, dt: float):
 def _slice(seed, stream, rngs, start, take, stop, draws, dt, count):
     # rows start..start+take of each stream i, from rngs[i], the generators of
     # its current block; they are dropped when the block or the read (at
-    # ``stop``) ends.  Every keyed draw is allocated, and so capped, here
+    # ``stop``) ends.  Every keyed draw is allocated, capped and scaled by
+    # sqrt(dt) here, so here dt is checked
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got dt={dt}")
     _fits(len(rngs) * take * _step_bytes(draws), f"a noise slice of {take} steps x {len(rngs)} streams")
     outs = [np.empty((len(rngs), take, *shape)) for shape, _ in draws]
     filled = 0
@@ -231,8 +234,8 @@ class NoisePath:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got dt={self.dt}")
         if self.steps < 0 or self.offset < 0:
             raise ValueError("steps and offset must be nonnegative")
 

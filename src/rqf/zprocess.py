@@ -3,13 +3,13 @@
 The process lives on [-1, 1] with drift 2z(1-z^2) and diffusion
 sqrt(2)(1-z^2); its squared diffusion coefficient Sigma(z) = (1-z^2)^2
 matches the quadratic variation of <X_t, Y_t> for a common-noise pair on
-any sphere dimension.  Closed-form side: the polynomial scale function and
-boundary-hitting probabilities.  Numerical side: Euler-Maruyama simulation
-(single path, and a whole table of starting points on shared noise in the
-replicate loop of ``flows``, read through ``noise._Replicates``, each
-replicate bit-equal to its single path)
-and a conservative finite-volume discretisation of the associated
-Fokker-Planck equation
+any sphere dimension.  This module holds the whole pair law and its three
+checks.  Closed-form side: the polynomial scale function and
+boundary-hitting probabilities.  Monte Carlo side: the Euler-Maruyama step
+of the law, a single path, and a table of starting points on shared
+noise, read through the replicate spans of ``noise._spans``, each
+replicate bit-equal to its single path.  Oracle side: a conservative
+finite-volume discretisation of the Fokker-Planck equation
 
     dp/dt = -d/dz(2z(1-z^2) p) + d^2/dz^2((1-z^2)^2 p)
 
@@ -18,29 +18,28 @@ function is finite at +-1), so mass accumulates in the edge cells exactly
 as the simulated paths absorb at +-1.
 
 The finite-volume generator is tridiagonal with positive off-diagonals and
-zero column sums, so a diagonal scaling makes it symmetric: by default
+zero column sums, so a diagonal scaling makes it symmetric:
 ``fokker_planck_evolve`` applies its exact exponential through one
 symmetric tridiagonal eigendecomposition, at any horizon for the same
-cost.  Passing ``dt_pde`` runs the explicit upwind time-stepping of the
-same generator instead, kept as the cross-check.
+cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, sqrt
+from math import inf, isfinite, sqrt
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from . import noise
 from .errors import NumericalError
-from .flows import _step_count, _steps_to
-from .integrators import _em_z_increment, em_step_z
+from .flows import _step_count
 
 __all__ = [
     "DensityGrid",
     "ZTrajectory",
+    "em_step_z",
     "fokker_planck_evolve",
     "hit_up_probability",
     "l1_density_distance",
@@ -108,6 +107,29 @@ def hit_up_probability(z0: float) -> float:
 # -- direct simulation ------------------------------------------------------
 
 
+def em_step_z(z: float, db: float, dt: float) -> float:
+    """Euler-Maruyama step of dZ = 2Z(1-Z^2) dt + sqrt(2)(1-Z^2) dB.
+
+    The result is clamped to [-1, 1]; both coefficients vanish at the
+    boundaries, so +-1 are exact fixed points.  A z outside [-1, 1], a
+    non-finite db or a dt outside (0, inf) raises ValueError.
+    """
+    if not 0 < dt < inf:
+        raise ValueError(f"dt must be finite and positive, got dt={dt}")
+    if not -1.0 <= z <= 1.0:
+        raise ValueError(f"z must be in [-1, 1], got z={z}")
+    if not isfinite(db):
+        raise ValueError(f"db must be finite, got db={db}")
+    return min(1.0, max(-1.0, z + _em_z_increment(z, db, dt)))
+
+
+def _em_z_increment(z, db, dt: float):
+    # drift and noise terms of one Euler-Maruyama step of the z diffusion,
+    # for floats and for arrays; every z stepper adds this to z, then clamps
+    one_minus = 1.0 - z * z
+    return 2.0 * z * one_minus * dt + _SQRT2 * one_minus * db
+
+
 @dataclass(frozen=True)
 class ZTrajectory:
     times: np.ndarray
@@ -119,14 +141,17 @@ class ZTrajectory:
 
 
 def simulate_z(z0: float, T: float, dt: float, seed: int, stream: int = 0) -> ZTrajectory:
-    """Euler-Maruyama path of the Z diffusion; frozen once it reaches +-1."""
+    """Euler-Maruyama path of the Z diffusion; frozen once it reaches +-1.
+
+    Checks z0 and dt once, then takes ``em_step_z``'s steps unchecked.
+    """
     if not -1.0 <= z0 <= 1.0:
         raise ValueError("z0 must be in [-1, 1]")
     steps = _step_count(T, dt)
     values = np.empty(steps + 1)
     values[0] = z = z0
     for k, db in enumerate(noise.scalar_increments(seed, steps, dt, stream=stream).tolist(), 1):
-        z = em_step_z(z, db, dt)
+        z = min(1.0, max(-1.0, z + _em_z_increment(z, db, dt)))
         values[k] = z
     return ZTrajectory(times=dt * np.arange(steps + 1), values=values)
 
@@ -191,9 +216,9 @@ class DensityGrid:
         self.masses = np.asarray(self.masses, dtype=float)
         if self.masses.ndim != 1 or self.masses.size < 3:
             raise ValueError("need at least 3 cells")
-        if np.any(self.masses < 0):
+        if not np.all(self.masses >= 0):  # NaN fails too
             raise ValueError("masses must be nonnegative")
-        if abs(float(self.masses.sum()) - 1.0) > _MASS_TOL:
+        if not abs(float(self.masses.sum()) - 1.0) <= _MASS_TOL:
             raise ValueError(f"total mass {self.masses.sum()!r} is not 1 within {_MASS_TOL}")
 
     @property
@@ -231,15 +256,18 @@ class DensityGrid:
 
 
 def max_stable_dt(m: int) -> float:
-    """Largest stable explicit step h^2 / (2 max D + h max |a|).
+    """Largest explicit Euler step dt at which I + dt A has no negative entry.
 
-    Standard positivity bound for upwind advection plus explicit diffusion
-    of (D p); D = Sigma peaks at 1 (z = 0) and |a| = |2z(1-z^2)| peaks at
-    4 / (3 sqrt(3)).
+    The standard positivity bound h^2 / (2 max D + h max |a|) for upwind
+    advection plus explicit diffusion of (D p), with D = Sigma peaking at
+    1 (z = 0) and |a| = |2z(1-z^2)| at 4 / (3 sqrt(3)), capped by the
+    exact bound 1 / (largest outflow rate of a cell); of m = 3 to 11,585,
+    the cap is the smaller only at m = 3.
     """
     h = 2.0 / m
     a_max = 4.0 / (3.0 * sqrt(3.0))
-    return h * h / (2.0 * 1.0 + h * a_max)
+    _, diag, _ = _fp_symmetrized(DensityGrid.uniform(m))
+    return min(h * h / (2.0 + h * a_max), -1.0 / float(diag.min()))
 
 
 def _fp_rates(grid: DensityGrid):
@@ -286,41 +314,22 @@ def spectral_gap(m: int) -> float:
     return float(rates[2])
 
 
-def fokker_planck_evolve(p0: DensityGrid, T: float, dt_pde: float | None = None) -> DensityGrid:
+def fokker_planck_evolve(p0: DensityGrid, T: float) -> DensityGrid:
     """Advance the cell masses to time T under the conservative finite-volume generator.
 
     Fluxes live on cell faces (upwind advection of p, centered difference
     of D p); boundary faces carry zero flux, so total mass is conserved to
-    roundoff.  By default the result is exact in time: p(T) = exp(A T) p0
-    from one eigendecomposition of the symmetrized generator, at a cost
-    that does not depend on T; it holds an m x m eigenvector matrix, and
-    raises ResourceCapError if that would exceed ``noise.DEFAULT_MEM_CAP``
+    roundoff.  The result is exact in time: p(T) = exp(A T) p0 from one
+    eigendecomposition of the symmetrized generator, at a cost that does
+    not depend on T; it holds an m x m eigenvector matrix, and raises
+    ResourceCapError if that would exceed ``noise.DEFAULT_MEM_CAP``
     (``noise._fits``).
-    Passing ``dt_pde`` time-steps the same fluxes explicitly instead (the
-    cross-check), in ceil(T/dt_pde) equal steps counted by the library's
-    one step-count rule (``flows._steps_to``); a value above the stability
-    bound raises with the bound in the message.
     """
     if not 0 <= T < inf:
         raise ValueError(f"T must be finite and >= 0, got T={T}")
-    m = p0.m
-    if dt_pde is None:
-        noise._fits(8 * m * m, f"the spectral Fokker-Planck solve's eigenvectors at m={m}")
-    elif not dt_pde > 0:
-        raise ValueError(f"dt_pde must be positive, got dt_pde={dt_pde}")
-    elif dt_pde > max_stable_dt(m):
-        raise ValueError(
-            f"dt_pde={dt_pde!r} violates the explicit stability bound; "
-            f"max stable dt_pde for m={m} is {max_stable_dt(m)!r}"
-        )
+    noise._fits(8 * p0.m * p0.m, f"the spectral Fokker-Planck solve's eigenvectors at m={p0.m}")
     if T == 0:
         return DensityGrid(p0.masses.copy())
-    if dt_pde is None:
-        return _fp_spectral(p0, T)
-    return _fp_explicit(p0, T, dt_pde)
-
-
-def _fp_spectral(p0: DensityGrid, T: float) -> DensityGrid:
     # exp(A T) = S V exp(Lambda T) V^T S^-1 with B = S^-1 A S = V Lambda V^T
     s, diag, off = _fp_symmetrized(p0)
     lam, vecs = eigh_tridiagonal(diag, off)
@@ -338,19 +347,6 @@ def _fp_spectral(p0: DensityGrid, T: float) -> DensityGrid:
             f"spectral Fokker-Planck solve at m={p0.m}, T={T!r} drifts total mass by {drift!r} "
             f"(tolerance {_MASS_TOL}); use fewer cells"
         )
-    return DensityGrid(mass)
-
-
-def _fp_explicit(p0: DensityGrid, T: float, dt_pde: float) -> DensityGrid:
-    # forward Euler on the generator the spectral solve diagonalises
-    steps = _steps_to(T, dt_pde)
-    dt = T / steps
-    right, left = _fp_rates(p0)
-    mass = p0.masses.copy()
-    flux = np.zeros(p0.m + 1)  # the boundary faces carry none
-    for _ in range(steps):
-        flux[1:-1] = right * mass[:-1] - left * mass[1:]
-        mass -= dt * (flux[1:] - flux[:-1])
     return DensityGrid(mass)
 
 

@@ -134,6 +134,17 @@ class TestMainEntry:
         x0 = cli._default_x0(cli.RunConfig("simulate", n=100_000))
         assert x0.shape == (100_000,) and x0[0] == 1.0 and not x0[1:].any()
 
+    def test_numerical_error_exit_code(self, tmp_path, capsys):
+        # a 40-unit renormalisation interval lets the pair synchronize to
+        # rounding; the failure is named by its (seed, stream, step)
+        doc = {"experiment": "lyapunov", "model": "phase", "T": 80.0, "dt": 0.01,
+               "renorm_interval": 40.0, "seed": 3, "out_dir": str(tmp_path / "runs")}
+        path = write_config(tmp_path, doc)
+        assert cli.main(["lyapunov", "--config", path]) == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "numerical"
+        assert "at step 4000 (seed 3, stream 0)" in err["message"]
+
     def test_fokker_planck_cell_cap_exit_code(self, tmp_path, capsys):
         # 20000 cells need 3.2 GB of eigenvectors, over the 1 GiB cap
         doc = {"experiment": "fokker-planck", "T": 0.1, "seed": 1, "fp_cells": 20_000,

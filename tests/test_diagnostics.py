@@ -45,6 +45,10 @@ class TestSyncMetric:
             m = sync_metric(random_unit_vector(3, rng), random_unit_vector(3, rng))
             assert 0.0 <= m <= math.pi / 2 + 1e-15
 
+    def test_nan_stays_nan(self):
+        # the clamp once turned NaN into -1, a metric of 0: a synchronized pair
+        assert math.isnan(sync_metric([1.0, 0.0], [math.nan, 0.0]))
+
 
 class TestKsTwoSample:
     def test_identical_samples_zero(self):
@@ -185,6 +189,12 @@ class TestAttractorDetect:
         assert np.allclose(sm1.poles[0], -sm2.poles[1], atol=1e-12)
         assert sm1.diameters == pytest.approx(sm2.diameters[::-1], abs=1e-12)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_non_positive_or_nan_tolerance_rejected(self, tol):
+        # a NaN tolerance once returned k = 1 for three orthogonal states
+        with pytest.raises(ValueError, match="diameter_tol must be positive"):
+            attractor_detect(np.eye(3), tol)
+
     def test_scattered_cloud_flagged(self):
         rng = np.random.default_rng(6)
         cloud = np.stack([random_unit_vector(3, rng) for _ in range(40)])
@@ -280,6 +290,12 @@ class TestLyapunovBenettin:
         # estimator once reported only the ratio
         with pytest.raises(NumericalError, match=r"separation ratio .* at step 4000 \(seed 3, stream 0\)"):
             lyapunov_benettin(model, params, 80.0, 1e-2, 40.0, seed=3)
+
+    @pytest.mark.parametrize("n", [2.7, 2.0, "2"])
+    def test_non_integer_dimension_rejected(self, n):
+        # int() once ran n = 2.7 as n = 2
+        with pytest.raises(TypeError, match="n must be an integer"):
+            lyapunov_benettin("sphere", {"n": n}, 1.0, 1e-2, 0.1)
 
     @pytest.mark.parametrize("params", [{"n": 2, "sign": 3.0}, {"n": 3, "sigma_q": -1.0},
                                         {"n": 3, "sigma_w": -0.5}])

@@ -686,6 +686,10 @@ class TestSphereGridAndPullback:
         res = flows.pullback_run(grid, 0.0, 1e-3, 5, diameter_tol=10.0)
         assert np.allclose(res.final_states, grid)
 
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="diameter_tol must be positive"):
+            flows.pullback_run(flows.sphere_grid(10, 3), 0.1, 1e-2, 5, diameter_tol=math.nan)
+
     def test_bipolar_configuration_forms(self):
         # single realization: two antipodal clusters, tight diameters
         grid = flows.sphere_grid(100, 3)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -147,6 +148,10 @@ class TestSphereDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             sphere_distance(E1, np.array([1.0, 0.0]))
+
+    def test_nan_inner_product_stays_nan(self):
+        # the clamp once turned NaN into -1, a distance of pi
+        assert math.isnan(sphere_distance(np.array([1.0, 0.0]), np.array([math.nan, 0.0])))
 
 
 class TestAntipode:

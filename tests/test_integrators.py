@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,11 @@ from rqf.integrators import (
     _heun_step,
     dominant_eigenspace,
     dqf_exact,
-    em_step_z,
     heun_step_bias,
     heun_step_rqf,
 )
 from rqf.noise import symmetrize
+from rqf.zprocess import em_step_z
 
 
 def _random_dq(rng, n, dt):
@@ -128,6 +130,14 @@ class TestEmStepZ:
             z = em_step_z(z, rng.standard_normal() * 0.3, 1e-2)
             assert -1.0 <= z <= 1.0
 
+    @pytest.mark.parametrize("z, db, dt, name", [(0.5, 0.1, math.nan, "dt"), (0.5, 0.1, math.inf, "dt"),
+                                                 (0.5, 0.1, 0.0, "dt"), (math.nan, 0.1, 0.01, "z"),
+                                                 (1.5, 0.1, 0.01, "z"), (0.5, math.nan, 0.01, "db")])
+    def test_non_finite_or_out_of_range_input_rejected_by_name(self, z, db, dt, name):
+        # a NaN dt or z once returned -1.0, and dt = inf returned 1.0
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            em_step_z(z, db, dt)
+
     @given(
         st.floats(-1, 1, allow_nan=False),
         st.floats(-100, 100, allow_nan=False),
@@ -193,6 +203,12 @@ class TestDqfExact:
             dqf_exact(np.zeros((2, 2)), np.array([1.0, 0.0]), -1.0)
         with pytest.raises(ValueError):
             dqf_exact(np.zeros((2, 2)), np.array([1.0, 0.0]), [0.0, -1.0])
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan, [0.5, math.inf]])
+    def test_non_finite_time_rejected_by_name(self, t):
+        # an infinite time once raised NumericalError blaming x0
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            dqf_exact(np.eye(3), np.array([1.0, 0.0, 0.0]), t)
 
     def test_times_array_matches_one_call_per_time_bit_exact(self, monkeypatch):
         # one decomposition serves every sample time, and each row has the

@@ -1,4 +1,5 @@
 import ast
+import math
 import pathlib
 import threading
 import time
@@ -221,6 +222,17 @@ class TestScalarReads:
         ref = _scalar_reference(12, 4, 3 * BLOCK_STEPS, 0.01)
         for j in range(3):
             assert np.array_equal(noise.scalar_block(12, 4, j, 0.01), ref[j * BLOCK_STEPS : (j + 1) * BLOCK_STEPS])
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -1.0, 0.0])
+    def test_non_finite_or_non_positive_dt_rejected_by_name(self, dt):
+        # each keyed slice is scaled by sqrt(dt): NaN gave NaN increments,
+        # -1 NaN with a RuntimeWarning, and 0 a block of zeros
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            scalar_increments(0, 3, dt)
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            noise.scalar_block(0, 0, 0, dt)
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            NoisePath(0, 3, dt, 4)
 
     @pytest.mark.parametrize("start", [0, 5, 1023, 1024])
     @pytest.mark.parametrize("chunk", [1, 7, 1024, 1500])
