@@ -2,7 +2,7 @@
 
 Subpackages
 -----------
-geometry     sphere primitives (unit vectors, tangent projection, distances)
+geometry     sphere primitives (unit vectors, distances, grids)
 noise        seeded matrix/vector Brownian increments with time-shift views
 integrators  Heun sphere steps and the exact quadratic-form flow
 flows        trajectory/ensemble simulation and batched Monte Carlo
@@ -14,15 +14,7 @@ cli          the ``rqf`` command-line entry point
 __version__ = "0.1.0"
 
 from .errors import ConfigError, NumericalError, ResourceCapError
-from .geometry import (
-    TangentVector,
-    antipode,
-    fibonacci_sphere,
-    project_tangent,
-    random_unit_vector,
-    sphere_distance,
-    unit_vector,
-)
+from .geometry import fibonacci_sphere, random_unit_vector, sphere_distance, unit_vector
 from .noise import ArrayPath, NoisePath, generate_path, scalar_increments, shift_path, symmetrize
 from .integrators import StepResult, dominant_eigenspace, dqf_exact, heun_step_bias, heun_step_rqf
 from .flows import (

@@ -410,7 +410,8 @@ def _exp_bias_scan(cfg: RunConfig) -> dict:
         inner = np.einsum("ri,ri->r", finals[:, 2 * i], finals[:, 2 * i + 1])
         polar = float(np.mean(inner > 0.995))
         antipolar = float(np.mean(inner < -0.995))
-        sync = np.minimum(np.arccos(np.clip(inner, -1, 1)), np.pi - np.arccos(np.clip(inner, -1, 1)))
+        d = np.arccos(np.clip(inner, -1, 1))
+        sync = np.minimum(d, np.pi - d)
         stats.append([polar, antipolar, 1.0 - polar - antipolar, float(sync.mean())])
     stats = np.array(stats)
     out = {

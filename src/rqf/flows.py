@@ -56,7 +56,6 @@ class Trajectory:
 class Ensemble:
     """Members advanced under one shared noise realization."""
 
-    noise: noise.NoisePath | None
     members: list[Trajectory]
 
     @property
@@ -151,7 +150,7 @@ def _unit_rows(initials) -> np.ndarray:
 
 def _resolve_path(path, seed, n, dt, steps, with_vector, stream):
     if path is None:
-        return noise.generate_path(seed, n, dt, steps, with_vector=with_vector, stream=stream, materialize=False)
+        return noise.NoisePath(seed, n, dt, steps, with_vector, stream)
     if path.dt != dt:
         raise ValueError(f"supplied path has dt={path.dt}, run has dt={dt}")
     if path.steps < steps:
@@ -232,8 +231,7 @@ def simulate_coupled(
     members = [
         Trajectory(times=dt * np.arange(steps + 1), states=record[:, i].copy()) for i in range(m)
     ]
-    base = p if isinstance(p, noise.NoisePath) else None
-    return Ensemble(noise=base, members=members)
+    return Ensemble(members=members)
 
 
 # -- batched Monte Carlo ------------------------------------------------------

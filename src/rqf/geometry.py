@@ -1,4 +1,4 @@
-"""Sphere primitives: unit vectors, tangent projection, geodesic distance.
+"""Sphere primitives: unit vectors, geodesic distance, deterministic grids.
 
 Points on the sphere are plain float64 arrays of length n >= 2 embedded in
 R^n.  Constructors return read-only arrays; nothing in this module mutates
@@ -7,19 +7,13 @@ its inputs, so values can be shared freely between workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "MIN_NORM",
-    "TangentVector",
-    "antipode",
     "fibonacci_sphere",
-    "project_tangent",
     "random_unit_vector",
     "sphere_distance",
-    "symmetric_matrix",
     "unit_vector",
 ]
 
@@ -71,28 +65,6 @@ def random_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:
             return unit_vector(g)
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """A vector attached to ``base`` and orthogonal to it (within 1e-10)."""
-
-    base: np.ndarray
-    vec: np.ndarray
-
-
-def project_tangent(x: np.ndarray, v) -> TangentVector:
-    """Project ``v`` onto the tangent space at ``x``: v - <x, v> x.
-
-    Idempotent, and kills radial directions exactly up to roundoff.
-    Raises ValueError on dimension mismatch.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape != x.shape:
-        raise ValueError(f"dimension mismatch: x has shape {x.shape}, v has {v.shape}")
-    out = v - np.dot(x, v) * x
-    out.setflags(write=False)
-    return TangentVector(base=x, vec=out)
-
-
 def sphere_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Geodesic (great-circle) distance between two unit vectors, in [0, pi].
 
@@ -105,29 +77,6 @@ def sphere_distance(x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     c = float(np.dot(x, y))
     return float(np.arccos(max(min(c, 1.0), -1.0)))
-
-
-def antipode(x: np.ndarray) -> np.ndarray:
-    """Coordinatewise negation; an exact involution."""
-    out = -np.asarray(x, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
-def symmetric_matrix(entries) -> np.ndarray:
-    """Validate/coerce ``entries`` into an exactly symmetric square matrix.
-
-    Entries already symmetric are returned unchanged (as float64); anything
-    else within 1e-12 of symmetric is mirrored, larger defects raise.
-    """
-    m = np.asarray(entries, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if np.array_equal(m, m.T):
-        return m
-    if np.max(np.abs(m - m.T)) > 1e-12:
-        raise ValueError("matrix is not symmetric")
-    return (m + m.T) / 2.0
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:

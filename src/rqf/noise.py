@@ -239,20 +239,17 @@ class NoisePath:
         if self.steps < 0 or self.offset < 0:
             raise ValueError("steps and offset must be nonnegative")
 
-    def blocks(self, chunk: int | None = None):
-        """Consecutive ``(dB, dW)`` chunks of at most ``chunk`` steps; by
-        default the slices of a one-replicate span on ``_SLICE_BYTES`` (``_spans``).
+    def blocks(self):
+        """Consecutive ``(dB, dW)`` slices of a one-replicate span on
+        ``_SLICE_BYTES``, cut by the one slice rule (``_spans``).
 
-        ``dW`` is None when the path carries no vector increments.  Chunks
+        ``dW`` is None when the path carries no vector increments.  Slices
         are drawn from the key as they are requested and nothing is cached;
         a suspended reader holds none, and one over DEFAULT_MEM_CAP raises.
         """
         draws = _draws(self.n, self.with_vector)
-        if chunk is None:
-            chunk = _spans(self.seed, 1, self.dt, self.steps, draws, _SLICE_BYTES)[0].size
-        elif chunk < 1:
-            raise ValueError("chunk must be >= 1")
-        return _read(self.seed, self.stream, self.offset, self.steps, chunk, draws, self.dt)
+        size = _spans(self.seed, 1, self.dt, self.steps, draws, _SLICE_BYTES)[0].size
+        return _read(self.seed, self.stream, self.offset, self.steps, size, draws, self.dt)
 
     def _take(self, k: int, steps: int, vector: bool) -> np.ndarray:
         # ``steps`` steps of dB, or of dW, from step k, drawn from the key
@@ -323,36 +320,23 @@ class ArrayPath:
     def with_vector(self) -> bool:
         return self.vector_increments is not None
 
-    def blocks(self, chunk: int = BLOCK_STEPS):
-        if chunk < 1:
-            raise ValueError("chunk must be >= 1")
+    def blocks(self):
+        """Consecutive ``(dB, dW)`` slices of ``BLOCK_STEPS`` steps (the last may be shorter)."""
         dw = self.vector_increments
-        for pos in range(0, self.steps, chunk):
-            yield self.matrix_increments[pos : pos + chunk], None if dw is None else dw[pos : pos + chunk]
+        for pos in range(0, self.steps, BLOCK_STEPS):
+            cut = slice(pos, pos + BLOCK_STEPS)
+            yield self.matrix_increments[cut], None if dw is None else dw[cut]
 
 
-def generate_path(
-    seed: int,
-    n: int,
-    dt: float,
-    steps: int,
-    with_vector: bool = False,
-    stream: int = 0,
-    materialize: bool = True,
-) -> NoisePath:
+def generate_path(seed: int, n: int, dt: float, steps: int, with_vector: bool = False, stream: int = 0) -> NoisePath:
     """Create the noise path for one realization.
 
-    Deterministic in (seed, n, dt, steps, stream).  Nothing is drawn or
-    cached here: ``matrix_increments`` and ``vector_increments`` draw from
-    the key on each access, and ``blocks()`` streams.  ``materialize``
-    checks at once that the whole path fits in ``DEFAULT_MEM_CAP`` bytes,
-    raising ResourceCapError if not; with ``materialize=False`` only the
-    slices ``blocks()`` reads, one at a time, are capped as they are drawn.
+    Deterministic in (seed, n, dt, steps, stream).  Nothing is drawn,
+    cached or capped here: ``blocks()`` streams, and ``matrix_increments``
+    and ``vector_increments`` draw from the key on each access, each read
+    capped as ``_slice`` allocates it.
     """
-    path = NoisePath(seed=seed, n=n, dt=dt, steps=steps, with_vector=with_vector, stream=stream)
-    if materialize:
-        _fits(steps * _step_bytes(_draws(n, with_vector)), f"a materialized path of {steps} steps at n={n}")
-    return path
+    return NoisePath(seed=seed, n=n, dt=dt, steps=steps, with_vector=with_vector, stream=stream)
 
 
 def shift_path(path: NoisePath, k: int) -> NoisePath:

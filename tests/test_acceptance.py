@@ -41,7 +41,7 @@ def _report(num: int, ok: bool, detail: str):
 def test_criterion_01_noise_statistics():
     dt = 1e-2
     draws = 100_000
-    path = noise.generate_path(20_101, 2, dt, draws, materialize=False)
+    path = noise.generate_path(20_101, 2, dt, draws)
     dq = np.concatenate([noise.symmetrize(db) for db, _ in path.blocks()])
     var_diag = dq[:, 0, 0].var()
     var_off = dq[:, 0, 1].var()

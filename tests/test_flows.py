@@ -71,14 +71,13 @@ class TestSimulateRqf:
         assert long.states.shape == (11, 3)
         assert np.array_equal(long.states, short.states)
         # a keyed path longer than the run matches the run's own path
-        keyed = noise.generate_path(24, 3, 1e-2, 2000, with_vector=True, materialize=False)
+        keyed = noise.generate_path(24, 3, 1e-2, 2000, with_vector=True)
         ens = flows.simulate_coupled([E1], 0.1, 1e-2, 24, sigma_w=0.5, path=keyed)
-        assert ens.noise.steps == 10
         assert np.array_equal(ens.final_states, flows.simulate_coupled([E1], 0.1, 1e-2, 24, sigma_w=0.5).final_states)
 
     def test_supplied_path_with_another_dt_rejected(self):
         # 100 steps of dt = 1e-3 would otherwise drive a run to t = 1.0
-        path = noise.generate_path(0, 3, 1e-3, 100, materialize=False)
+        path = noise.generate_path(0, 3, 1e-3, 100)
         with pytest.raises(ValueError, match="dt"):
             flows.simulate_rqf(E1, 1.0, 1e-2, 0, path=path)
         phase_path = noise.ArrayPath(dt=1e-3, matrix_increments=np.zeros((100, 2, 2)))
@@ -188,7 +187,7 @@ class TestNormPreservation:
         x0 = random_unit_vector(5, rng)
         for dt in (1e-3, 5e-4):
             steps = int(round(2.0 / dt))
-            path = noise.generate_path(901, 5, dt, steps, materialize=False)
+            path = noise.generate_path(901, 5, dt, steps)
             states = x0[None, :].copy()
             max_defect = flows._advance(states, path, -1.0, 0.0)
             assert max_defect < 10 * dt
@@ -307,7 +306,7 @@ class TestNormCheck:
     @pytest.mark.parametrize("case", ["one path", "replicates with dW"])
     def test_max_defect_equals_per_step_reference_bit_exact(self, case):
         if case == "one path":
-            path = noise.generate_path(902, 5, 0.02, 1500, materialize=False)
+            path = noise.generate_path(902, 5, 0.02, 1500)
             initial = np.stack([unit_vector(np.arange(1.0, 6.0)), unit_vector(np.ones(5))])
             q_scale, w_scale = -1.0, 0.0
         else:

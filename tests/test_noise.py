@@ -47,15 +47,13 @@ class TestGeneratePath:
 
     def test_entry_variance_within_band(self):
         # spec band for Var(dB_11): dt = 1e-2 over 1e5 draws
-        p = generate_path(2024, 2, 1e-2, 100_000, materialize=False)
+        p = generate_path(2024, 2, 1e-2, 100_000)
         b11 = np.concatenate([db[:, 0, 0] for db, _ in p.blocks()])
         assert 0.0097 <= b11.var() <= 0.0103
 
     def test_memory_cap(self):
-        with pytest.raises(ResourceCapError):
-            generate_path(1, 64, 1e-3, 10_000_000)
-        # streaming construction succeeds; materializing it still raises
-        p = generate_path(1, 64, 1e-3, 10_000_000, materialize=False)
+        # a 328 GB path is built and streamed: only reading it whole raises
+        p = generate_path(1, 64, 1e-3, 10_000_000)
         db, _ = next(p.blocks())
         assert db.shape[1:] == (64, 64)
         with pytest.raises(ResourceCapError):
@@ -69,8 +67,8 @@ class TestGeneratePath:
 
     def test_blocks_match_materialized(self):
         p = generate_path(9, 2, 0.5, 2100, with_vector=True)
-        db = np.concatenate([b for b, _ in p.blocks(chunk=700)])
-        dw = np.concatenate([w for _, w in p.blocks(chunk=700)])
+        db = np.concatenate([b for b, _ in p.blocks()])
+        dw = np.concatenate([w for _, w in p.blocks()])
         assert np.array_equal(db, p.matrix_increments)
         assert np.array_equal(dw, p.vector_increments)
 
@@ -82,7 +80,7 @@ class TestGeneratePath:
 OVER_CAP_READS = {
     "one-step": lambda: list(NoisePath(0, 11586, 0.1, 1).blocks()),
     "one-step-dw": lambda: list(NoisePath(0, 11585, 0.1, 1, with_vector=True).blocks()),
-    "chunk": lambda: next(NoisePath(0, 64, 0.1, 300_000).blocks(300_000)),
+    "chunk": lambda: next(noise._read(0, 0, 0, 300_000, 300_000, noise._draws(64, False), 0.1)),
     "scalar": lambda: scalar_increments(0, 2**27 + 1, 0.1),
 }
 
@@ -98,14 +96,14 @@ class TestCapWhereAllocated:
             read()
 
     def test_cap_counts_every_stream_and_draw_of_a_slice(self, monkeypatch):
-        # with a cap of 10 steps of one n = 3 stream with dW, a path reads
-        # 10-step chunks and two replicates 5-step slices, and no more
+        # with a cap of 10 steps of one n = 3 stream with dW, one stream
+        # reads 10-step slices and two replicates 5-step slices, and no more
         draws = noise._draws(3, True)
         monkeypatch.setattr(noise, "DEFAULT_MEM_CAP", 10 * noise._step_bytes(draws))
-        path = NoisePath(0, 3, 0.1, 20, True)
-        assert next(path.blocks(10))[0].shape == (10, 3, 3)
+        assert next(noise._read(0, 0, 0, 20, 10, draws, 0.1))[0].shape == (10, 3, 3)
         assert next(noise._Replicates(0, 0, 2, 0.1, 20, 5, draws).blocks())[1].shape == (2, 5, 3)
-        for read in (path.blocks(11), noise._Replicates(0, 0, 2, 0.1, 20, 6, draws).blocks()):
+        for read in (noise._read(0, 0, 0, 20, 11, draws, 0.1),
+                     noise._Replicates(0, 0, 2, 0.1, 20, 6, draws).blocks()):
             with pytest.raises(ResourceCapError):
                 next(read)
 
@@ -147,9 +145,10 @@ class TestStreamingReader:
     def test_blocks_equal_whole_block_draws(self, chunk, offset, with_vector):
         path = shift_path(NoisePath(31, 3, 0.01, 2600, with_vector, stream=6), offset)
         ref_db, ref_dw = _whole_block_reference(path)
-        chunks = list(path.blocks(chunk))
+        chunks = list(noise._read(31, 6, offset, path.steps, chunk, noise._draws(3, with_vector), 0.01))
         assert [len(db) for db, _ in chunks] == [min(chunk, path.steps - p) for p in range(0, path.steps, chunk)]
         assert np.array_equal(np.concatenate([db for db, _ in chunks]), ref_db)
+        assert np.array_equal(np.concatenate([db for db, _ in path.blocks()]), ref_db)
         if with_vector:
             assert np.array_equal(np.concatenate([dw for _, dw in chunks]), ref_dw)
         else:
@@ -166,9 +165,9 @@ class TestStreamingReader:
     @pytest.mark.parametrize("offset", [0, 5, 1024])
     def test_vector_path_reads_the_matrix_only_db(self, offset):
         # dW has its own key domain, so reading it leaves every dB bit as is
-        with_dw = shift_path(NoisePath(34, 3, 0.01, 2600, True, stream=5), offset)
-        without = shift_path(NoisePath(34, 3, 0.01, 2600, False, stream=5), offset)
-        for (db, dw), (db0, dw0) in zip(with_dw.blocks(700), without.blocks(700)):
+        with_dw, without = (noise._read(34, 5, offset, 2600 - offset, 700, noise._draws(3, vector), 0.01)
+                            for vector in (True, False))
+        for (db, dw), (db0, dw0) in zip(with_dw, without):
             assert np.array_equal(db, db0)
             assert dw.shape == (len(db), 3) and dw0 is None
 
@@ -195,9 +194,10 @@ class TestStreamingReader:
         assert size * noise._step_bytes(noise._draws(n, with_vector)) <= 1 << 27
 
     def test_invalid_chunk_and_index(self):
+        # blocks() takes no chunk: a path's slices follow the one slice rule
         path = NoisePath(33, 2, 0.1, 10)
-        with pytest.raises(ValueError):
-            next(path.blocks(0))
+        with pytest.raises(TypeError):
+            path.blocks(5)
         with pytest.raises(IndexError):
             path.matrix_increment(10)
         with pytest.raises(ValueError):
@@ -444,7 +444,7 @@ class TestSymmetrize:
     def test_goe_scaling(self):
         # Var(dQ_ii) -> dt and Var(dQ_ij) -> dt/2 within 3 standard errors
         dt = 1e-2
-        p = generate_path(77, 2, dt, 100_000, materialize=False)
+        p = generate_path(77, 2, dt, 100_000)
         dq = np.concatenate([symmetrize(db) for db, _ in p.blocks()])
         n_draws = dq.shape[0]
         se_var = lambda v: v * np.sqrt(2.0 / n_draws)
@@ -454,7 +454,7 @@ class TestSymmetrize:
         assert abs(ratio - 0.5) < 3 * 0.5 * np.sqrt(4.0 / n_draws)
 
     def test_distinct_entries_uncorrelated(self):
-        p = generate_path(78, 3, 1.0, 100_000, materialize=False)
+        p = generate_path(78, 3, 1.0, 100_000)
         dq = np.concatenate([symmetrize(db) for db, _ in p.blocks()])
         pairs = [((0, 0), (1, 1)), ((0, 1), (0, 2)), ((0, 0), (0, 1))]
         for (i, j), (k, l) in pairs:
@@ -506,18 +506,21 @@ class TestShiftPath:
 
 class TestArrayPath:
     def test_blocks_roundtrip(self):
-        db = np.arange(24, dtype=float).reshape(6, 2, 2)
+        steps = 2 * noise.BLOCK_STEPS + 6
+        db = np.arange(4.0 * steps).reshape(steps, 2, 2)
         p = ArrayPath(dt=0.1, matrix_increments=db)
-        got = np.concatenate([b for b, _ in p.blocks(chunk=4)])
-        assert np.array_equal(got, db)
-        assert p.steps == 6 and p.n == 2 and not p.with_vector
+        blocks = [b for b, _ in p.blocks()]
+        assert [len(b) for b in blocks] == [noise.BLOCK_STEPS, noise.BLOCK_STEPS, 6]
+        assert np.array_equal(np.concatenate(blocks), db)
+        assert p.steps == steps and p.n == 2 and not p.with_vector
 
     @pytest.mark.parametrize("chunk", [0, -1])
     def test_blocks_reject_chunk_below_one(self, chunk):
-        # as NoisePath.blocks does: -1 used to yield nothing, 0 a bare range() error
+        # blocks() takes no chunk at all, as NoisePath.blocks: its slices
+        # are BLOCK_STEPS long, so any chunk is refused
         p = ArrayPath(dt=0.1, matrix_increments=np.zeros((6, 2, 2)))
-        with pytest.raises(ValueError, match="chunk must be >= 1"):
-            list(p.blocks(chunk))
+        with pytest.raises(TypeError):
+            p.blocks(chunk)
 
 
 def test_noise_path_header_roundtrip():
@@ -564,8 +567,8 @@ def test_only_noise_uses_threads():
 
 def test_one_function_refuses_resources():
     # every ResourceCapError in rqf is raised by noise._fits, and _fits is
-    # called where keyed noise is allocated (_slice), by the eager check of
-    # generate_path, and for the Fokker-Planck eigenvectors
+    # called only where keyed noise is allocated (_slice) and for the
+    # Fokker-Planck eigenvectors
     raisers, callers = [], []
     for source in sorted(pathlib.Path(noise.__file__).parent.glob("*.py")):
         tree = ast.parse(source.read_text())
@@ -580,7 +583,7 @@ def test_one_function_refuses_resources():
                         elif name == "_fits":
                             callers.append(f"{source.name}:{fn.name}")
     assert raisers == ["noise.py:_fits"]
-    assert sorted(callers) == ["noise.py:_slice", "noise.py:generate_path", "zprocess.py:fokker_planck_evolve"]
+    assert sorted(callers) == ["noise.py:_slice", "zprocess.py:fokker_planck_evolve"]
 
 
 def test_every_noise_budget_is_a_named_constant():
