@@ -472,9 +472,10 @@ def _steps(cfg: RunConfig) -> int | None:
 def run(cfg: RunConfig, threads: int | None = None) -> dict:
     """Execute one experiment (``threads`` is ignored); write outputs and the manifest; return it.
 
-    Every experiment steps on the calling thread; a sphere or circle
-    batch draws its noise half a slice ahead on a helper thread of its
-    own, whatever ``threads`` says.
+    Every experiment runs on the calling thread.  A sphere or circle batch
+    steps its replicates in one process per CPU this process may use and
+    32 replicates, whatever ``threads`` says, with the bits of a
+    one-process run.
 
     Next to ``wall_time_s`` the manifest records the dt grid actually
     stepped, ``steps`` and ``T_simulated`` = steps * dt, which can differ
@@ -527,8 +528,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="override the output directory")
     parser.add_argument("--no-svg", action="store_true", help="skip SVG plot emission")
     parser.add_argument("--threads", type=int, default=None,
-                        help="accepted and ignored; every experiment steps on one thread, and "
-                             "batched noise reads draw one slice ahead on one helper thread")
+                        help="accepted and ignored; sphere and circle batches step their "
+                             "replicates in one process per available CPU and 32 replicates")
     args = parser.parse_args(argv)
 
     if args.experiment == "validate":

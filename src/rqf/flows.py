@@ -14,6 +14,10 @@ circle runners through one phase step; all of them read dQ from
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import pickle
+import signal
 import warnings
 from dataclasses import dataclass, replace
 
@@ -237,6 +241,94 @@ def simulate_coupled(
 # -- batched Monte Carlo ------------------------------------------------------
 
 
+# the fewest replicates a worker of a batch is given: every process pays
+# a batched step's fixed cost each time step (about 14 us at n = 3 on a
+# 2-CPU x86-64 VM), while a split saves only the per-replicate work (about
+# 0.4 us a replicate for the sphere, 0.2 us for the circle), so a smaller
+# share loses more to its fork and the shared CPU than it gains
+_GROUP_REPLICATES = 32
+
+
+def _first_failure(share, step, out):
+    # step a worker's (read index, row group) pairs in order; the first
+    # Exception stops it and is returned with its read's index
+    for index, group in share:
+        try:
+            step(group, out)
+        except Exception as exc:
+            return index, exc
+    return None
+
+
+def _fork(share, step, out):
+    # one child steps ``share`` into ``out`` and pickles _first_failure's
+    # result into a pipe; it never returns from here
+    reader, writer = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(reader)
+            report = pickle.dumps(_first_failure(share, step, out))
+            with os.fdopen(writer, "wb") as fh:
+                fh.write(report)
+        finally:
+            os._exit(0)
+    os.close(writer)
+    return pid, reader
+
+
+def _stepped(reads, shape, step) -> np.ndarray:
+    """Call ``step(read, out)`` for every ``noise._spans`` read of ``reads``;
+    return ``out``, an array of ``shape`` whose ``read.rows`` that call fills.
+
+    The work is cut along the replicate axis over w workers, one per CPU
+    this process may run on (one where that set is unknown) and at most
+    one per ``_GROUP_REPLICATES`` replicates.  Every read is cut into w
+    contiguous row groups on its own slices (``_Replicates.split``).
+    This process steps group 0 of every read; w - 1 forked children step
+    the others, each writing straight into ``out``, an anonymous shared
+    mapping.  A row's bits do not depend on the rows stepped beside it, so
+    w changes none.
+
+    A child pickles what it raised into a pipe and ends with ``os._exit``.
+    Every child is reaped before this returns or raises, and killed first
+    if this process's own share was interrupted.  An error is raised only
+    after every worker has ended its share: a child stops at its own first
+    error, not at another worker's.  If a worker raised, the earliest read
+    that failed is stepped again whole on this process, so the error
+    raised is the one of the serial run; a child that ended without
+    reporting raises RuntimeError.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    replicates = sum(read.count for read in reads)
+    workers = max(1, min(len(affinity(0)) if affinity else 1, replicates // _GROUP_REPLICATES))
+    cuts = [read.split(workers) for read in reads]
+    shares = [[(index, cut[w]) for index, cut in enumerate(cuts) if cut[w].count] for w in range(workers)]
+    out = np.ndarray(shape, buffer=mmap.mmap(-1, max(1, 8 * math.prod(shape))))  # mmap refuses 0 bytes
+    children, reports, failures = [], [], []
+    try:
+        for share in shares[1:]:
+            children.append(_fork(share, step, out))
+        failures.append(_first_failure(shares[0], step, out))
+    finally:
+        for pid, reader in children:
+            if not failures:  # this process's share was interrupted
+                os.kill(pid, signal.SIGKILL)
+            with os.fdopen(reader, "rb") as fh:
+                reports.append(fh.read())
+            os.waitpid(pid, 0)
+    for (pid, _), report in zip(children, reports):
+        if not report:
+            raise RuntimeError(f"batch worker {pid} ended without reporting its rows")
+        failures.append(pickle.loads(report))
+    failed = [failure for failure in failures if failure]
+    if failed:
+        index, exc = min(failed, key=lambda failure: failure[0])
+        step(reads[index], out)  # the whole read raises what the serial run raises
+        raise exc
+    return out
+
+
 def batch_finals(
     initials,
     T: float,
@@ -265,12 +357,14 @@ def batch_finals(
     be shorter than 64 steps (or than the run).  Any horizon runs: only a
     run whose one-step slice of one replicate exceeds
     ``noise.DEFAULT_MEM_CAP`` raises ResourceCapError, at its first read.
-    Every slice is read in halves, the next half drawn and symmetrized on
-    a helper thread while this thread steps the current one
-    (``noise._increments``), so about 1.5 * ``chunk_bytes`` of noise is in
-    flight, plus each replicate's generators, under 1.5 KB each per block.
-    ``threads`` is accepted and ignored: the batched step holds the GIL,
-    so further stepping threads only slow it.
+    The spans' rows are stepped in one process per CPU, at most one per
+    32 replicates (``_stepped``), each process reading and stepping its
+    own contiguous rows of every span on the span's slices, so no bit
+    depends on the CPU count.  Each process holds one slice of its own
+    rows and its dQ: with w processes about 2 * ``chunk_bytes`` / w of
+    noise each and 2 * ``chunk_bytes`` in all, plus each replicate's
+    generators, under 1.5 KB each per block.  ``threads`` is accepted and
+    ignored.
 
     ``sigma_w`` is one value or one value per initial state.  Members with
     different ``sigma_w`` share each replicate's dB and dW, and member i
@@ -291,19 +385,22 @@ def batch_finals(
     cp_steps = [steps] if checkpoints is None else [_steps_to(t, dt) for t in checkpoints if 0 <= t < math.inf]
     if checkpoints is not None and len(cp_steps) < len(checkpoints) or max(cp_steps, default=0) > steps:
         raise ValueError(f"checkpoints must lie in [0, T={T}]")
-    out = np.empty((len(cp_steps), replicates, m, n))
     at: dict[int, list[int]] = {}  # step -> the output rows it fills
     for i, k in enumerate(cp_steps):
         at.setdefault(k, []).append(i)
-    for path in reads:
 
-        def snapshot(k, states, rows=path.rows):
+    def step(path, out):
+        rows = path.rows
+
+        def snapshot(k, states):
             for i in at.get(k, ()):
                 out[i, rows] = states  # an int and a slice: no index array per step
 
         states = np.broadcast_to(arr, (path.count, m, n)).copy()
         snapshot(0, states)
         _advance(states, path, q_scale, w_scale, snapshot)
+
+    out = _stepped(reads, (len(cp_steps), replicates, m, n), step)
     return out[0] if checkpoints is None else out
 
 
@@ -367,24 +464,28 @@ def simulate_phase(phi0: float, T: float, dt: float, seed: int, *, stream: int =
     return PhaseTrajectory(times=dt * np.arange(steps + 1), angles=angles)
 
 
-# bytes of one dB slice of phase_finals, read ahead in halves as in
-# batch_finals; a half's dQ adds as much while it is symmetrized, and its du
-# and dv arrays half that
+# bytes of one dB slice of a phase_finals span, which its w processes
+# share; each one's dQ adds as much while it is symmetrized, and its du and
+# dv arrays half that
 _PHASE_CHUNK_BYTES = 1 << 26
 
 
 def phase_finals(phi0: float, T: float, dt: float, seed: int, replicates: int) -> np.ndarray:
-    """Final wrapped angles over independent replicate substreams, stepped in ``batch_finals`` spans."""
+    """Final wrapped angles over independent replicate substreams, stepped
+    in ``batch_finals`` spans, one process per CPU and 32 replicates."""
     steps = _step_count(T, dt)
-    finals = np.full(replicates, _start_angle(phi0))
-    for path in noise._spans(seed, replicates, dt, steps, noise._draws(2, False), _PHASE_CHUNK_BYTES):
-        phi = finals[path.rows]
+    start = _start_angle(phi0)
+
+    def step(path, finals):
+        phi = np.full(path.count, start)
         for dq, _ in noise._increments(path):
             du, dv = _phase_combos(dq)
             for k in range(du.shape[1]):
                 phi = np.mod(_phase_heun(phi, du[:, k], dv[:, k], np.sin, np.cos), TWO_PI)
         finals[path.rows] = phi
-    return finals
+
+    return _stepped(noise._spans(seed, replicates, dt, steps, noise._draws(2, False), _PHASE_CHUNK_BYTES),
+                    (replicates,), step)
 
 
 # -- pull-back experiments ----------------------------------------------------

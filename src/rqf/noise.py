@@ -15,7 +15,8 @@ gives
   block ahead; ``_spans``, the one slice rule, cuts every read into
   slices that fit one byte budget and end with the run, a single path
   being a one-replicate span.  No horizon is refused: ``_slice``, which
-  allocates every keyed slice, refuses only one above ``DEFAULT_MEM_CAP``.
+  allocates every keyed slice, refuses only one above ``DEFAULT_MEM_CAP``,
+  and ``_Replicates.split`` a read whose whole slice ``_slice`` would.
 
 Matrix increments dB have iid Normal(0, dt) entries; the symmetrized
 increment dQ = (dB + dB^T)/2 then has Var(dQ_ii) = dt and
@@ -26,13 +27,11 @@ Vector increments dW are keyed in their own domain, so a path's dB is
 the same with or without dW, and reading dW never draws dB; seeded
 initial grids have a domain of their own too.
 
-Keys make a slice's bits independent of the thread that draws it.  The
-kind of read sets where it is drawn: every sphere and circle batch
-(a ``_Replicates`` read through ``_increments``) draws, checks and
-symmetrizes its next half slice on one helper thread while the caller
-steps the current one (numpy releases the GIL while it draws); every
-single-path read, and the z table's scalar read, stays on the calling
-thread.  Nothing else in rqf uses threads.
+Keys make a slice's bits independent of the process that draws it and
+of the rows read beside it: a ``_Replicates`` read cut into row groups
+(``split``) gives each group the bits it has in the whole read, which is
+how ``flows`` steps a batch's groups in forked processes.  Every read is
+drawn on the process that steps it, and rqf starts no thread.
 """
 
 from __future__ import annotations
@@ -106,7 +105,7 @@ def _read(seed: int, stream: int, start: int, steps: int, size: int, draws, dt: 
     """
     rngs = [[] for _ in range(count or 1)]
     for pos in range(0, steps, size):
-        # drawn by a helper, so the suspended reader holds no slice
+        # drawn in _slice, so the suspended reader holds no slice
         yield _slice(seed, stream, rngs, start + pos, min(size, steps - pos), start + steps, draws, dt, count)
 
 
@@ -181,6 +180,20 @@ class _Replicates:
 
     def blocks(self):
         return _read(self.seed, self.stream, 0, self.steps, self.size, self.draws, self.dt, self.count)
+
+    def split(self, parts: int) -> list[_Replicates]:
+        """These rows cut into ``parts`` contiguous groups (some may be
+        empty), each read on this read's slices.
+
+        A group's rows get the bits they get in the whole read.  The cut is
+        capped as the whole read is: if ``_slice`` would refuse this read's
+        first slice, ResourceCapError is raised here, however small the groups.
+        """
+        if self.steps:
+            take = min(self.size, self.steps)
+            _fits(self.count * take * _step_bytes(self.draws), f"a noise slice of {take} steps x {self.count} streams")
+        cuts = [self.count * g // parts for g in range(parts + 1)]
+        return [replace(self, stream=self.stream + lo, count=hi - lo) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _spans(seed: int, replicates: int, dt: float, steps: int, draws, chunk_bytes: int, min_slice: int = _MIN_SLICE):
@@ -378,23 +391,12 @@ def _located(path, what: str, step: int, bad) -> NumericalError:
 def _increments(path, scale: float = 1.0):
     """Yield ``(dQ, dW)`` per block of ``path.blocks()``, dQ = symmetrize(dB, scale).
 
-    The one way a stepper reads matrix noise.  Each block is checked first:
-    a non-finite dB or dW entry raises NumericalError naming its step (and,
-    on a keyed path, its seed and stream).  dW is None when the path
-    yields none.
-
-    A ``_Replicates`` read is read in slices of half its ``size``, each
-    drawn, checked and symmetrized on a helper thread while the caller
-    steps the one before (``_ahead``); the bits, the errors and their order
-    are those of the serial read, and about 1.5 slices of the full
-    ``size`` are in flight.  Every other read is drawn on the calling thread.
+    The one way a stepper reads matrix noise, drawn on the calling
+    process.  Each block is checked first: a non-finite dB or dW entry
+    raises NumericalError naming its step (and, on a keyed path, its seed
+    and stream).  dW is None when the path yields none.  One block and its
+    dQ are held at once.
     """
-    if isinstance(path, _Replicates):
-        return _ahead(_checked(replace(path, size=max(1, path.size // 2)), scale))
-    return _checked(path, scale)
-
-
-def _checked(path, scale):
     k = 0
     for db, dw in path.blocks():
         finite = np.isfinite(db).all(axis=(-2, -1))
@@ -408,27 +410,3 @@ def _checked(path, scale):
         del db  # stepping needs only the symmetrized block
         yield dq, dw
         del dq, dw  # freed before the next block is drawn
-
-
-def _ahead(slices):
-    """Yield the items of the generator ``slices``, each one computed on a
-    helper thread while the caller holds the one before.
-
-    The helper starts item k+1 only once the caller has taken item k, so at
-    most one item is ahead.  A helper's exception is raised when the caller
-    asks for that item.  Closing this generator (or exhausting it) waits
-    for the helper, joins it and closes ``slices``; an item computed for a
-    caller that stopped early is dropped unread.
-    """
-    from concurrent.futures import ThreadPoolExecutor  # imported by the first batch, not at start-up
-
-    end = object()
-    try:
-        with ThreadPoolExecutor(1) as pool:
-            pending = pool.submit(next, slices, end)
-            while (item := pending.result()) is not end:
-                pending = pool.submit(next, slices, end)
-                yield item
-                del item  # not held while the next item is awaited
-    finally:
-        slices.close()

@@ -191,9 +191,6 @@ def simulate_z_finals(z0, T: float, dt: float, seed: int, replicates: int) -> np
     finals = np.empty(z0.shape + (replicates,))
     for path in noise._spans(seed, replicates, dt, steps, noise._SCALAR_DRAWS, _Z_CHUNK_BYTES, noise.BLOCK_STEPS):
         z = np.repeat(z0[..., None], path.count, axis=-1)
-        # read on this thread, not ahead as the sphere batches are: a z step
-        # costs less than the handoff, and drawing the oracle table ahead in
-        # half slices took 54-63 ms against 49-52 ms (in-process, 2 vCPUs)
         for db, _ in path.blocks():
             for j in range(0, db.shape[1], _Z_COLUMNS):
                 for dbk in np.ascontiguousarray(db[:, j : j + _Z_COLUMNS].T):

@@ -1,5 +1,6 @@
 import math
-import threading
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from rqf import flows, noise, zprocess
 from rqf.diagnostics import ks_critical_value, ks_two_sample
-from rqf.errors import NumericalError
+from rqf.errors import NumericalError, ResourceCapError
 from rqf.geometry import random_unit_vector, unit_vector
 from rqf.integrators import _heun_step
 
@@ -523,12 +524,12 @@ class TestBatchFinals:
 
 PAIR = np.stack([E1, E2])
 
-# batched runs, each of whose replicate reads is read ahead: one wide span
-# whose 1100 steps cross the block seam, spans of 2 + 1 replicates on
-# 64-step slices, 1-step slices that cannot be halved, a bias scan with one
-# sigma_w per member and checkpoints on both sides of the seam, and the
-# circle model
-AHEAD_RUNS = {
+# batched runs, each cut into row groups: one wide span whose 1100 steps
+# cross the block seam, spans of 2 + 1 replicates on 64-step slices, 1-step
+# slices, a bias scan with one sigma_w per member and checkpoints on both
+# sides of the seam, the circle model, and uniformity's shape: 2000
+# replicates of 300 steps on 4 MiB, 3 spans of 667 on 87-step slices
+BATCH_RUNS = {
     "wide": lambda: flows.batch_finals(PAIR, 1.1, 1e-3, 43, 3),
     "spans": lambda: flows.batch_finals(PAIR, 1.1, 1e-3, 43, 3, chunk_bytes=2 * 64 * 72),
     "one-step": lambda: flows.batch_finals(PAIR, 0.05, 1e-3, 43, 3, chunk_bytes=8),
@@ -536,78 +537,196 @@ AHEAD_RUNS = {
                                        sigma_w=np.repeat([0.0, 0.5, 4.0], 2), chunk_bytes=2 * 64 * 96,
                                        checkpoints=[0.3, 1.024, 1.025, 1.1]),
     "phase": lambda: flows.phase_finals(0.3, 1.1, 1e-3, 85, 5),
+    "uniformity": lambda: flows.batch_finals(E1[None], 15.0, 0.05, 88, 2000, chunk_bytes=1 << 22),
 }
 
 
-class TestReadAhead:
-    @pytest.mark.parametrize("run", AHEAD_RUNS.values(), ids=AHEAD_RUNS.keys())
-    def test_read_ahead_equals_serial_bit_exact(self, monkeypatch, run):
-        # the serial side passes each read through on the calling thread
-        before = threading.active_count()
-        ahead = noise._ahead
-        monkeypatch.setattr(noise, "_ahead", lambda slices: slices)
-        serial = run()
-        reads = []
-        monkeypatch.setattr(noise, "_ahead", lambda slices: reads.append(slices) or ahead(slices))
-        assert np.array_equal(run(), serial)
-        assert reads
-        assert threading.active_count() == before
+def _workers(monkeypatch, count):
+    # a batch takes one worker per CPU in this process's CPU set; these
+    # small batches are given a row group from one replicate up
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(flows, "_GROUP_REPLICATES", 1)
 
-    def test_non_finite_increment_on_the_helper_names_the_serial_step(self, monkeypatch):
-        # NaN in dB of replicate 4 at step 700; 13824 bytes give spans of
-        # 3 + 3 replicates on 64-step slices, read ahead in 32-step halves
-        real = noise._slice
-        poisoned_on = []
 
-        def poisoned(seed, stream, rngs, start, take, *rest):
-            db, dw = real(seed, stream, rngs, start, take, *rest)
-            if stream <= 4 < stream + len(rngs) and start <= 700 < start + take:
-                db[4 - stream, 700 - start, 0, 1] = np.nan
-                poisoned_on.append(threading.current_thread())
-            return db, dw
+def _counted_forks(monkeypatch):
+    real, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+    return forks
 
-        monkeypatch.setattr(noise, "_slice", poisoned)
-        before = threading.active_count()
-        messages = []
-        ahead = noise._ahead
-        for read in (lambda slices: slices, ahead):  # serial on this thread, then ahead
-            monkeypatch.setattr(noise, "_ahead", read)
-            with pytest.raises(NumericalError) as err:
-                flows.batch_finals(E1[None], 1.1, 1e-3, 86, 6, chunk_bytes=3 * 64 * 72)
-            messages.append(str(err.value))
-            assert threading.active_count() == before
-        assert messages == ["non-finite noise increment at step 700 (seed 86, stream 4)"] * 2
-        assert poisoned_on[0] is threading.main_thread()
-        assert poisoned_on[1] is not threading.main_thread()
 
-    def test_run_shorter_than_a_slice_is_read_ahead_in_halves(self, monkeypatch):
-        # 8 replicates of 300 steps fit one 128 MiB slice, which ends with the
-        # run: it is read in two 150-step halves, both drawn on the helper
-        # while this thread steps, and keeps the single runs' bits
-        real, drawn = noise._slice, []
-        monkeypatch.setattr(noise, "_slice", lambda *a: drawn.append((a[3], a[4], threading.current_thread()))
-                            or real(*a))
+def _poison(monkeypatch, log, poisons):
+    # put ``value`` into dB of replicate r at step k for each (r, k, value),
+    # as the slice holding it is drawn, and log the drawing process's pid
+    real = noise._slice
+
+    def poisoned(seed, stream, rngs, start, take, *rest):
+        db, dw = real(seed, stream, rngs, start, take, *rest)
+        for r, k, value in poisons:
+            if stream <= r < stream + len(rngs) and start <= k < start + take:
+                db[r - stream, k - start, 0, 1] = value
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+        return db, dw
+
+    monkeypatch.setattr(noise, "_slice", poisoned)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("run", BATCH_RUNS.values(), ids=BATCH_RUNS.keys())
+    def test_worker_count_changes_no_bit(self, monkeypatch, run):
+        forks = _counted_forks(monkeypatch)
+        results = []
+        for workers in (1, 2, 3):
+            _workers(monkeypatch, workers)
+            results.append(run())
+        assert len(forks) == 1 + 2
+        for result in results[1:]:
+            assert result.tobytes() == results[0].tobytes()
+
+    def test_one_worker_where_the_cpu_set_is_unknown(self, monkeypatch):
+        serial = BATCH_RUNS["spans"]()
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(flows, "_GROUP_REPLICATES", 1)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without a CPU set"))
+        assert np.array_equal(BATCH_RUNS["spans"](), serial)
+
+    @pytest.mark.parametrize("replicates, forks", [(2, 0), (63, 0), (64, 1)])
+    def test_a_worker_takes_at_least_32_replicates(self, monkeypatch, replicates, forks):
+        # on 2 CPUs a batch is split only where each worker gets 32
+        # replicates; simulate's 2-replicate batch stays in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        forked = _counted_forks(monkeypatch)
+        fin = flows.batch_finals(E1[None], 0.64, 0.01, 5, replicates)
+        assert len(forked) == forks
+        last = flows.simulate_coupled([E1], 0.64, 0.01, 5, stream=replicates - 1).final_states
+        assert np.array_equal(fin[-1], last)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_checkpoints_give_an_empty_result(self, monkeypatch, workers):
+        _workers(monkeypatch, workers)
+        assert flows.batch_finals(PAIR, 0.1, 1e-2, 5, 3, checkpoints=[]).shape == (0, 3, 2, 3)
+
+    def test_each_worker_draws_its_own_rows_on_the_span_slices(self, monkeypatch, tmp_path):
+        # 8 replicates of 300 steps fit one 128 MiB slice: with 2 workers this
+        # process draws rows 0-3 and one child rows 4-7, each in one 300-step
+        # slice, and every row keeps the bits of its single run
+        log, real = tmp_path / "drawn", noise._slice
+
+        def logged(seed, stream, rngs, start, take, *rest):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {stream} {len(rngs)} {start} {take}\n")
+            return real(seed, stream, rngs, start, take, *rest)
+
+        monkeypatch.setattr(noise, "_slice", logged)
+        _workers(monkeypatch, 2)
         fin = flows.batch_finals(E1[None], 3.0, 0.01, 5, 8)
-        assert [(start, take) for start, take, _ in drawn] == [(0, 150), (150, 150)]
-        assert threading.main_thread() not in [thread for *_, thread in drawn]
+        drawn = sorted(line.split() for line in log.read_text().splitlines())
+        assert [d[1:] for d in drawn] == [["0", "4", "0", "300"], ["4", "4", "0", "300"]]
+        assert drawn[0][0] == str(os.getpid()) != drawn[1][0]
         for r in range(8):
             assert np.array_equal(fin[r], flows.simulate_coupled([E1], 3.0, 0.01, 5, stream=r).final_states)
 
-    def test_noise_in_flight_within_its_stated_bound(self):
-        # 2000 replicates of 300 steps in 4 MiB chunks: spans of 667 on 87-step
-        # slices of 4.18 MB, read ahead in 43-step halves.  The peak allows
-        # the stated bound, the reader's generators (under 1.5 KB each), the
-        # output and a few state-sized arrays of the Heun step
-        chunk_bytes, width = 1 << 22, 667
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_non_finite_increment_names_its_step_on_any_worker(self, monkeypatch, tmp_path, workers):
+        # NaN in dB of replicate 4 at step 700 of one 10-replicate span:
+        # replicate 4 is this process's row with 1 or 2 workers (rows 0-4)
+        # and a child's with 3 (rows 3-5), after which this process steps
+        # the span again whole for the serial run's error
+        log = tmp_path / "poisoned"
+        _poison(monkeypatch, log, [(4, 700, np.nan)])
+        _workers(monkeypatch, workers)
+        with pytest.raises(NumericalError) as err:
+            flows.batch_finals(E1[None], 1.1, 1e-3, 86, 10)
+        assert str(err.value) == "non-finite noise increment at step 700 (seed 86, stream 4)"
+        pids = log.read_text().split()
+        assert pids[-1] == str(os.getpid())
+        assert len(set(pids)) == (2 if workers == 3 else 1)
+
+    # poisons (replicate, step, value) in the rows of two workers, and the
+    # error of the serial run: the earliest span, then the earliest noise
+    # slice (a whole slice is checked before any of its steps), then the
+    # earliest step, then the lowest stream.  1e300 is finite noise that
+    # sends the state's norm to infinity
+    @pytest.mark.parametrize("chunk_bytes, poisons, error", [
+        (noise._SLICE_BYTES, [(1, 900, np.nan), (8, 700, np.nan)], "non-finite noise increment at step 700 (seed 86, stream 8)"),
+        (noise._SLICE_BYTES, [(8, 700, np.inf), (2, 700, np.nan)], "non-finite noise increment at step 700 (seed 86, stream 2)"),
+        (5 * 64 * 72, [(1, 900, np.nan), (8, 100, np.nan)], "non-finite noise increment at step 900 (seed 86, stream 1)"),
+        (noise._SLICE_BYTES, [(1, 300, 1e300), (8, 650, np.nan)], "non-finite noise increment at step 650 (seed 86, stream 8)"),
+        (5 * 64 * 72, [(1, 300, 1e300), (3, 250, 1e300)], "non-finite or zero state at step 250 (seed 86, stream 3)"),
+    ], ids=["earlier-step", "same-step", "earlier-span", "noise-before-state", "state"])
+    def test_errors_in_two_workers_raise_the_serial_runs(self, monkeypatch, tmp_path, chunk_bytes, poisons, error):
+        _poison(monkeypatch, tmp_path / "poisoned", poisons)
+        messages = []
+        for workers in (1, 2, 3):
+            _workers(monkeypatch, workers)
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError) as err:
+                flows.batch_finals(E1[None], 1.1, 1e-3, 86, 10, chunk_bytes=chunk_bytes)
+            messages.append(str(err.value))
+        assert messages == [error] * 3
+
+    def test_child_that_ends_without_reporting_raises(self, monkeypatch):
+        parent, real = os.getpid(), flows._advance
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(0)
+            return real(*args)
+
+        monkeypatch.setattr(flows, "_advance", dying)
+        _workers(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="ended without reporting"):
+            flows.batch_finals(E1[None], 0.1, 1e-2, 5, 4)
+
+    def test_interrupted_share_kills_and_reaps_its_children(self, monkeypatch):
+        # this process's share is interrupted at once, while its child has
+        # seconds of work left; the no_leaked_children fixture checks the reaping
+        class Interrupt(BaseException):
+            pass
+
+        parent, real = os.getpid(), flows._advance
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise Interrupt
+            return real(*args)
+
+        monkeypatch.setattr(flows, "_advance", interrupted)
+        _workers(monkeypatch, 2)
+        started = time.perf_counter()
+        with pytest.raises(Interrupt):
+            flows.batch_finals(E1[None], 100.0, 1e-3, 5, 2)
+        assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_resource_cap_does_not_depend_on_worker_count(self, monkeypatch, workers):
+        # 20-step runs: 4 sphere replicates in spans of 2 on 2880-byte slices,
+        # and 5 circle replicates in one span on a 3200-byte slice.  Under a
+        # 2000-byte cap every group of 2 or 3 workers would fit
+        monkeypatch.setattr(noise, "DEFAULT_MEM_CAP", 2000)
+        _workers(monkeypatch, workers)
+        with pytest.raises(ResourceCapError, match="needs 2880 bytes"):
+            flows.batch_finals(E1[None], 0.2, 0.01, 5, 4, chunk_bytes=2880)
+        with pytest.raises(ResourceCapError, match="needs 3200 bytes"):
+            flows.phase_finals(0.3, 0.2, 0.01, 5, 5)
+
+    def test_noise_in_flight_within_its_stated_bound(self, monkeypatch):
+        # 2000 replicates of 300 steps in 4 MiB chunks: spans of 667 on
+        # 87-step slices of 4.18 MB.  With 2 workers this process steps 333
+        # rows of each span, holding one 2.09 MB slice of them and its dQ at a
+        # time; the peak allows those two, the reader's generators (under
+        # 1.5 KB each) and a few state-sized arrays of the Heun step.  The
+        # output is a shared mapping, outside the traced heap
+        chunk_bytes, rows = 1 << 22, 333
         first = noise._spans(87, 2000, 0.01, 300, noise._draws(3, False), chunk_bytes)[0]
-        assert (first.stream, first.stream + first.count, first.size) == (0, width, 87)
+        assert (first.count, first.size, first.split(2)[0].count) == (667, 87, rows)
+        _workers(monkeypatch, 2)
         tracemalloc.start()
         try:
-            out = flows.batch_finals(E1[None], 3.0, 0.01, 87, 2000, chunk_bytes=chunk_bytes)
+            flows.batch_finals(E1[None], 3.0, 0.01, 87, 2000, chunk_bytes=chunk_bytes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * chunk_bytes + width * 1536 + out.nbytes + 16 * width * 3 * 8
+        assert peak <= 2 * rows * first.size * 72 + rows * 1536 + 16 * rows * 3 * 8
 
 
 class TestSimulatePhase:

@@ -1,8 +1,7 @@
 import ast
 import math
+import os
 import pathlib
-import threading
-import time
 import tracemalloc
 import weakref
 from types import SimpleNamespace
@@ -295,22 +294,6 @@ class TestIntake:
         with pytest.raises(NumericalError, match=r"at step 7 \(seed 3, stream 6\)$"):
             list(noise._increments(path))
 
-    def test_replicate_reads_are_drawn_ahead_in_half_slices(self, monkeypatch):
-        # a read of 86 KB slices, far below a MiB, is served in 150-step
-        # slices drawn off the calling thread, with the bits of the serial read
-        path = noise._Replicates(40, 2, 3, 0.01, 1100, 300, noise._draws(3, True))
-        serial = list(noise._checked(path, 1.0))
-        drawn_on = []
-        real = noise._slice
-        monkeypatch.setattr(noise, "_slice", lambda *a: drawn_on.append(threading.current_thread()) or real(*a))
-        ahead = list(noise._increments(path))
-        assert [dq.shape[1] for dq, _ in ahead] == [150] * 7 + [50]
-        assert [dq.shape[1] for dq, _ in serial] == [300] * 3 + [200]
-        for i in (0, 1):
-            assert np.array_equal(np.concatenate([s[i] for s in ahead], axis=1),
-                                  np.concatenate([s[i] for s in serial], axis=1))
-        assert len(drawn_on) == 8 and threading.main_thread() not in drawn_on
-
     @pytest.mark.parametrize("run", [
         lambda: zprocess.simulate_z_finals([0.0, 0.5], 0.5, 1e-2, 7, 30),
         lambda: flows.simulate_coupled(np.eye(3)[:2], 0.5, 1e-2, 7, sigma_w=0.5),
@@ -320,63 +303,11 @@ class TestIntake:
         lambda: diagnostics.lyapunov_benettin("sphere", {"n": 3, "sigma_w": 0.5}, 1.0, 1e-2, 0.1, seed=7),
     ], ids=["z-table", "coupled", "phase", "lyapunov-phase", "lyapunov-sphere2", "lyapunov-sphere"])
     def test_single_path_and_z_table_reads_stay_on_the_calling_thread(self, monkeypatch, run):
-        # the read mode follows the kind of read: only sphere and circle
-        # batches read ahead
-        calls = []
-        monkeypatch.setattr(noise, "_ahead", lambda slices: calls.append(slices) or slices)
+        # only sphere and circle batches fork workers: these reads are drawn
+        # and stepped by the calling process, however many CPUs it has
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a single path or the z table forked"))
         run()
-        assert calls == []
-
-
-def _wait_for(condition, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while not condition() and time.monotonic() < deadline:
-        time.sleep(0.001)
-
-
-class TestAhead:
-    def test_starts_exactly_one_item_ahead_of_the_caller(self):
-        started = []
-
-        def items():
-            for k in range(4):
-                started.append(k)
-                yield k
-
-        for k in noise._ahead(items()):
-            # while the caller holds item k the helper starts item k + 1,
-            # and nothing further however long the caller takes
-            _wait_for(lambda: len(started) > min(k + 1, 3))
-            time.sleep(0.01)
-            assert started == list(range(min(k + 2, 4)))
-
-    def test_helper_error_raised_when_its_item_is_asked_for(self):
-        def items():
-            yield 0
-            raise NumericalError("item 1")
-
-        it = noise._ahead(items())
-        assert next(it) == 0
-        with pytest.raises(NumericalError, match="item 1"):
-            next(it)
-        assert next(it, None) is None
-
-    def test_closing_early_joins_the_helper_and_closes_the_source(self):
-        closed = []
-
-        def items():
-            try:
-                yield from range(10)
-            finally:
-                closed.append(True)
-
-        before = threading.active_count()
-        it = noise._ahead(items())
-        assert next(it) == 0
-        assert threading.active_count() == before + 1
-        it.close()
-        assert threading.active_count() == before
-        assert closed == [True]
 
 
 class TestSubstreams:
@@ -546,29 +477,32 @@ def test_only_noise_builds_keys_or_symmetrizes():
     assert not offenders
 
 
-def test_only_noise_uses_threads():
-    # the read-ahead helper is rqf's one thread: no other module may import
-    # threading or concurrent.futures
-    offenders = []
+def test_no_threads_and_one_fork_site():
+    # rqf starts no thread: no module imports threading or concurrent.futures,
+    # and os.fork is called once, in the one function that forks a batch's workers
+    def is_fork(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "fork"
+                and getattr(node.func.value, "id", None) == "os")
+
+    imports, forks, forking = [], 0, []
     for source in sorted(pathlib.Path(noise.__file__).parent.glob("*.py")):
-        if source.name == "noise.py":
-            continue
         for node in ast.walk(ast.parse(source.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name.split(".")[0] == "threading" or name.startswith("concurrent") for name in names):
-                offenders.append(f"{source.name}:{node.lineno}")
-    assert not offenders
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+                imports += [f"{source.name}:{node.lineno}" for name in names
+                            if name.split(".")[0] in ("threading", "concurrent")]
+            forks += is_fork(node)
+            if isinstance(node, ast.FunctionDef) and any(map(is_fork, ast.walk(node))):
+                forking.append(f"{source.name}:{node.name}")
+    assert imports == []
+    assert forks == 1 and forking == ["flows.py:_fork"]
 
 
 def test_one_function_refuses_resources():
     # every ResourceCapError in rqf is raised by noise._fits, and _fits is
-    # called only where keyed noise is allocated (_slice) and for the
-    # Fokker-Planck eigenvectors
+    # called only where keyed noise is allocated (_slice), where a batch is
+    # cut into row groups that are capped as the whole read (split), and for
+    # the Fokker-Planck eigenvectors
     raisers, callers = [], []
     for source in sorted(pathlib.Path(noise.__file__).parent.glob("*.py")):
         tree = ast.parse(source.read_text())
@@ -583,7 +517,7 @@ def test_one_function_refuses_resources():
                         elif name == "_fits":
                             callers.append(f"{source.name}:{fn.name}")
     assert raisers == ["noise.py:_fits"]
-    assert sorted(callers) == ["noise.py:_slice", "zprocess.py:fokker_planck_evolve"]
+    assert sorted(callers) == ["noise.py:_slice", "noise.py:split", "zprocess.py:fokker_planck_evolve"]
 
 
 def test_every_noise_budget_is_a_named_constant():
