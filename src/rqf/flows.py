@@ -4,7 +4,9 @@ One noise realization is one :class:`~rqf.noise.NoisePath`; every member of
 an ensemble consumes the same symmetrized increment at every step, so the
 common-noise coupling is structural rather than something callers have to
 get right.  Monte Carlo over realizations uses per-replicate substreams
-(seed, replicate index) and advances replicates in wide batches.
+(seed, replicate index) and advances replicates in wide batches, split
+over one forked process per CPU whose exit status is its only report; a
+failed batch is stepped again serially, so its error is the serial run's.
 Every sphere runner goes through one Heun loop, ``_advance``, and the
 circle runners through one phase step; all of them read dQ from
 ``noise._increments``, one checked slice of at most one 1024-step block
@@ -13,10 +15,10 @@ circle runners through one phase step; all of them read dQ from
 
 from __future__ import annotations
 
+import errno
 import math
 import mmap
 import os
-import pickle
 import signal
 import warnings
 from dataclasses import dataclass, replace
@@ -139,7 +141,7 @@ def _advance(states: np.ndarray, path, q_scale: float, w_scale, on_step=None) ->
                 on_step(k, states)
         lows[:] = [min(lows)]
         highs[:] = [max(highs)]
-        del dq_block, dw_block  # not held while the next block is awaited
+        del dq_block, dw_block  # freed before the next slice is drawn
     return max(float(highs[0]) - 1.0, 1.0 - float(lows[0]))
 
 
@@ -249,34 +251,6 @@ def simulate_coupled(
 _GROUP_REPLICATES = 32
 
 
-def _first_failure(share, step, out):
-    # step a worker's (read index, row group) pairs in order; the first
-    # Exception stops it and is returned with its read's index
-    for index, group in share:
-        try:
-            step(group, out)
-        except Exception as exc:
-            return index, exc
-    return None
-
-
-def _fork(share, step, out):
-    # one child steps ``share`` into ``out`` and pickles _first_failure's
-    # result into a pipe; it never returns from here
-    reader, writer = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(reader)
-            report = pickle.dumps(_first_failure(share, step, out))
-            with os.fdopen(writer, "wb") as fh:
-                fh.write(report)
-        finally:
-            os._exit(0)
-    os.close(writer)
-    return pid, reader
-
-
 def _stepped(reads, shape, step) -> np.ndarray:
     """Call ``step(read, out)`` for every ``noise._spans`` read of ``reads``;
     return ``out``, an array of ``shape`` whose ``read.rows`` that call fills.
@@ -288,44 +262,58 @@ def _stepped(reads, shape, step) -> np.ndarray:
     This process steps group 0 of every read; w - 1 forked children step
     the others, each writing straight into ``out``, an anonymous shared
     mapping.  A row's bits do not depend on the rows stepped beside it, so
-    w changes none.
+    w changes none.  An output the mapping cannot allocate raises
+    MemoryError.
 
-    A child pickles what it raised into a pipe and ends with ``os._exit``.
-    Every child is reaped before this returns or raises, and killed first
-    if this process's own share was interrupted.  An error is raised only
-    after every worker has ended its share: a child stops at its own first
-    error, not at another worker's.  If a worker raised, the earliest read
-    that failed is stepped again whole on this process, so the error
-    raised is the one of the serial run; a child that ended without
-    reporting raises RuntimeError.
+    A child reports by its exit status alone: 0 once its share is stepped,
+    1 if it raised.  Every child is reaped before this returns or raises,
+    and killed first if this process's own share raised or was
+    interrupted.  If any worker of a forked batch failed, every read is
+    stepped again, in order, on this process: that is the serial run,
+    which raises its own error, or fills every row where a child died of
+    something outside it.  An unforked batch is the serial run.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     replicates = sum(read.count for read in reads)
     workers = max(1, min(len(affinity(0)) if affinity else 1, replicates // _GROUP_REPLICATES))
     cuts = [read.split(workers) for read in reads]
-    shares = [[(index, cut[w]) for index, cut in enumerate(cuts) if cut[w].count] for w in range(workers)]
-    out = np.ndarray(shape, buffer=mmap.mmap(-1, max(1, 8 * math.prod(shape))))  # mmap refuses 0 bytes
-    children, reports, failures = [], [], []
+    shares = [[cut[w] for cut in cuts if cut[w].count] for w in range(workers)]
+    size = 8 * math.prod(shape)
+    try:
+        buffer = mmap.mmap(-1, max(1, size))  # mmap refuses 0 bytes
+    except OSError as exc:
+        if exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"Unable to allocate {size} bytes for a batch output of shape {shape}") from exc
+    out = np.ndarray(shape, buffer=buffer)
+    children, done, failed = [], False, False
     try:
         for share in shares[1:]:
-            children.append(_fork(share, step, out))
-        failures.append(_first_failure(shares[0], step, out))
+            pid = os.fork()
+            if pid == 0:  # a child: step its share, then end with its status
+                status = 1
+                try:
+                    for group in share:
+                        step(group, out)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children.append(pid)
+        for group in shares[0]:
+            step(group, out)
+        done = True
+    except Exception:
+        if not children:
+            raise  # this process's share was the serial run
+        failed = True
     finally:
-        for pid, reader in children:
-            if not failures:  # this process's share was interrupted
+        for pid in children:
+            if not done:  # this process's share raised or was interrupted
                 os.kill(pid, signal.SIGKILL)
-            with os.fdopen(reader, "rb") as fh:
-                reports.append(fh.read())
-            os.waitpid(pid, 0)
-    for (pid, _), report in zip(children, reports):
-        if not report:
-            raise RuntimeError(f"batch worker {pid} ended without reporting its rows")
-        failures.append(pickle.loads(report))
-    failed = [failure for failure in failures if failure]
+            failed |= os.waitpid(pid, 0)[1] != 0
     if failed:
-        index, exc = min(failed, key=lambda failure: failure[0])
-        step(reads[index], out)  # the whole read raises what the serial run raises
-        raise exc
+        for read in reads:
+            step(read, out)
     return out
 
 
@@ -360,11 +348,12 @@ def batch_finals(
     The spans' rows are stepped in one process per CPU, at most one per
     32 replicates (``_stepped``), each process reading and stepping its
     own contiguous rows of every span on the span's slices, so no bit
-    depends on the CPU count.  Each process holds one slice of its own
-    rows and its dQ: with w processes about 2 * ``chunk_bytes`` / w of
-    noise each and 2 * ``chunk_bytes`` in all, plus each replicate's
-    generators, under 1.5 KB each per block.  ``threads`` is accepted and
-    ignored.
+    depends on the CPU count; if any process fails, the calling process
+    steps the whole batch again and raises the serial run's error.  Each
+    process holds one slice of its own rows and its dQ: with w processes
+    about 2 * ``chunk_bytes`` / w of noise each and 2 * ``chunk_bytes`` in
+    all, plus each replicate's generators, under 1.5 KB each per block.
+    ``threads`` is accepted and ignored.
 
     ``sigma_w`` is one value or one value per initial state.  Members with
     different ``sigma_w`` share each replicate's dB and dW, and member i

@@ -1,8 +1,9 @@
 """Sphere primitives: unit vectors, geodesic distance, deterministic grids.
 
 Points on the sphere are plain float64 arrays of length n >= 2 embedded in
-R^n.  Constructors return read-only arrays; nothing in this module mutates
-its inputs, so values can be shared freely between workers.
+R^n.  ``unit_vector`` and ``random_unit_vector`` return read-only arrays;
+``fibonacci_sphere`` returns a fresh writable grid.  Nothing in this module
+mutates its inputs.
 """
 
 from __future__ import annotations

@@ -188,8 +188,9 @@ def simulate_z_finals(z0, T: float, dt: float, seed: int, replicates: int) -> np
     if not np.all((z0 >= -1.0) & (z0 <= 1.0)):
         raise ValueError("z0 must be in [-1, 1]")
     steps = _step_count(T, dt)
+    reads = noise._spans(seed, replicates, dt, steps, noise._SCALAR_DRAWS, _Z_CHUNK_BYTES, noise.BLOCK_STEPS)
     finals = np.empty(z0.shape + (replicates,))
-    for path in noise._spans(seed, replicates, dt, steps, noise._SCALAR_DRAWS, _Z_CHUNK_BYTES, noise.BLOCK_STEPS):
+    for path in reads:
         z = np.repeat(z0[..., None], path.count, axis=-1)
         for db, _ in path.blocks():
             for j in range(0, db.shape[1], _Z_COLUMNS):

@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import json
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -118,6 +120,21 @@ class TestMainEntry:
         assert cli.main([experiment, "--config", path]) == 4
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["kind"] == "resource" and "Unable to allocate" in err["message"]
+
+    def test_unmappable_batch_output_exit_code(self, tmp_path, capsys, monkeypatch):
+        # 5 * 10^9 replicates need a 120 GB output, whose shared mapping
+        # fails with ENOMEM, not MemoryError; the mapping is refused here
+        # for any size, so that no machine starts the run
+        def refused(*args):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        monkeypatch.setattr(mmap, "mmap", refused)
+        doc = {"experiment": "uniformity", "n": 3, "T": 0.01, "dt": 0.01, "seed": 1, "seed_count": 100,
+               "out_dir": str(tmp_path / "runs")}
+        assert cli.main(["uniformity", "--config", write_config(tmp_path, doc)]) == 4
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"kind": "resource",
+                       "message": "Unable to allocate 2400 bytes for a batch output of shape (1, 100, 1, 3)"}
 
     def test_x0_whose_norm_overflows_runs_from_its_direction(self, tmp_path):
         # validated by the library's rule: such an x0 was once accepted and

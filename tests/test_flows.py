@@ -1,5 +1,8 @@
+import errno
 import math
+import mmap
 import os
+import signal
 import time
 import tracemalloc
 
@@ -571,6 +574,16 @@ def _poison(monkeypatch, log, poisons):
     monkeypatch.setattr(noise, "_slice", poisoned)
 
 
+@pytest.mark.parametrize("run", [
+    lambda: flows.batch_finals(E1[None], 0.1, 1e-2, 5, -1),
+    lambda: flows.phase_finals(0.3, 0.1, 1e-2, 5, -1),
+    lambda: zprocess.simulate_z_finals(0.0, 1.0, 0.1, 0, -1),
+], ids=["sphere", "phase", "z"])
+def test_negative_replicate_count_is_one_error_in_every_batch_runner(run):
+    with pytest.raises(ValueError, match="^replicates must be >= 0 and chunk_bytes >= 1$"):
+        run()
+
+
 class TestWorkers:
     @pytest.mark.parametrize("run", BATCH_RUNS.values(), ids=BATCH_RUNS.keys())
     def test_worker_count_changes_no_bit(self, monkeypatch, run):
@@ -664,18 +677,35 @@ class TestWorkers:
             messages.append(str(err.value))
         assert messages == [error] * 3
 
-    def test_child_that_ends_without_reporting_raises(self, monkeypatch):
+    def test_child_killed_mid_share_gives_the_serial_bits(self, monkeypatch):
+        # a child killed from outside raised nothing: this process steps the
+        # batch again and returns the 1-worker bits; the no_leaked_children
+        # fixture checks the reaping
+        _workers(monkeypatch, 1)
+        serial = flows.batch_finals(E1[None], 0.1, 1e-2, 5, 4)
         parent, real = os.getpid(), flows._advance
 
-        def dying(*args):
+        def killed(*args):
             if os.getpid() != parent:
-                os._exit(0)
+                os.kill(os.getpid(), signal.SIGKILL)
             return real(*args)
 
-        monkeypatch.setattr(flows, "_advance", dying)
+        monkeypatch.setattr(flows, "_advance", killed)
         _workers(monkeypatch, 2)
-        with pytest.raises(RuntimeError, match="ended without reporting"):
-            flows.batch_finals(E1[None], 0.1, 1e-2, 5, 4)
+        forks = _counted_forks(monkeypatch)
+        assert flows.batch_finals(E1[None], 0.1, 1e-2, 5, 4).tobytes() == serial.tobytes()
+        assert len(forks) == 1
+
+    def test_failed_share_kills_its_children_before_raising(self, monkeypatch, tmp_path):
+        # NaN in this process's row at step 5, while its child has seconds
+        # of work left: the child is killed, not waited for, and the serial
+        # run's error is raised
+        _poison(monkeypatch, tmp_path / "poisoned", [(0, 5, np.nan)])
+        _workers(monkeypatch, 2)
+        started = time.perf_counter()
+        with pytest.raises(NumericalError, match=r"^non-finite noise increment at step 5 \(seed 5, stream 0\)$"):
+            flows.batch_finals(E1[None], 100.0, 1e-3, 5, 2)
+        assert time.perf_counter() - started < 1.0
 
     def test_interrupted_share_kills_and_reaps_its_children(self, monkeypatch):
         # this process's share is interrupted at once, while its child has
@@ -708,6 +738,16 @@ class TestWorkers:
             flows.batch_finals(E1[None], 0.2, 0.01, 5, 4, chunk_bytes=2880)
         with pytest.raises(ResourceCapError, match="needs 3200 bytes"):
             flows.phase_finals(0.3, 0.2, 0.01, 5, 5)
+
+    def test_a_mapping_refused_for_another_reason_than_memory_raises_as_it_is(self, monkeypatch):
+        # ENOMEM is a MemoryError (test_cli's unmappable-output test); any
+        # other errno of the shared mapping propagates
+        def refused(*args):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+
+        monkeypatch.setattr(mmap, "mmap", refused)
+        with pytest.raises(PermissionError):
+            flows.batch_finals(E1[None], 0.1, 1e-2, 5, 4)
 
     def test_noise_in_flight_within_its_stated_bound(self, monkeypatch):
         # 2000 replicates of 300 steps in 4 MiB chunks: spans of 667 on

@@ -478,24 +478,28 @@ def test_only_noise_builds_keys_or_symmetrizes():
 
 
 def test_no_threads_and_one_fork_site():
-    # rqf starts no thread: no module imports threading or concurrent.futures,
-    # and os.fork is called once, in the one function that forks a batch's workers
-    def is_fork(node):
-        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "fork"
-                and getattr(node.func.value, "id", None) == "os")
+    # rqf starts no thread and pickles nothing: no module imports threading,
+    # concurrent.futures or pickle, and os.fork and os._exit are each called
+    # once, in the one function that forks a batch's workers
+    def os_call(node):
+        func = getattr(node, "func", None)
+        if isinstance(node, ast.Call) and isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+            return func.attr
+        return None
 
-    imports, forks, forking = [], 0, []
+    imports, calls, count = [], [], 0
     for source in sorted(pathlib.Path(noise.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(source.read_text())):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
                 imports += [f"{source.name}:{node.lineno}" for name in names
-                            if name.split(".")[0] in ("threading", "concurrent")]
-            forks += is_fork(node)
-            if isinstance(node, ast.FunctionDef) and any(map(is_fork, ast.walk(node))):
-                forking.append(f"{source.name}:{node.name}")
+                            if name.split(".")[0] in ("threading", "concurrent", "pickle")]
+            count += os_call(node) in ("fork", "_exit")
+            if isinstance(node, ast.FunctionDef):
+                calls += [f"{source.name}:{node.name} os.{os_call(call)}" for call in ast.walk(node)
+                          if os_call(call) in ("fork", "_exit")]
     assert imports == []
-    assert forks == 1 and forking == ["flows.py:_fork"]
+    assert count == 2 and sorted(calls) == ["flows.py:_stepped os._exit", "flows.py:_stepped os.fork"]
 
 
 def test_one_function_refuses_resources():
