@@ -3,8 +3,8 @@
 Uniformity testing against the exact marginals of the uniform measure on
 S^{n-1}, synchronization metrics, antipodal cluster detection for
 attractor experiments, two-sample Kolmogorov-Smirnov plumbing, and the
-two-trajectory (Benettin) maximal Lyapunov exponent estimator with
-periodic renormalization of the separation.
+Benettin maximal Lyapunov exponent estimator: a tangent frame on the
+linear lift for sigma_w = 0, a renormalized companion trajectory otherwise.
 """
 
 from __future__ import annotations
@@ -305,55 +305,16 @@ def _benettin_phase(path, logs, spi, delta0):
                 phi2 = phi1 + math.copysign(delta0, d)
 
 
-def _benettin_sphere2(path, logs, spi, delta0, q_scale):
-    # scalar specialization of the n = 2 flow; ~10x faster than array steps;
-    # it reads dQ already scaled by q_scale, as flows._advance does
-    x1, x2 = 1.0, 0.0
-    y1, y2 = _renorm2(x1, x2, x1 + 0.0, x2 + delta0, delta0)
-    k = 0
-
-    def step(c, s, q11, q12, q22):
-        a = q11 * c + q12 * s
-        b = q12 * c + q22 * s
-        dot = c * a + s * b
-        f1c = a - dot * c
-        f1s = b - dot * s
-        pc = c + f1c
-        ps = s + f1s
-        a = q11 * pc + q12 * ps
-        b = q12 * pc + q22 * ps
-        dot = pc * a + ps * b
-        f2c = a - dot * pc
-        f2s = b - dot * ps
-        nc = c + 0.5 * (f1c + f2c)
-        ns = s + 0.5 * (f1s + f2s)
-        inv = 1.0 / math.sqrt(nc * nc + ns * ns)
-        return nc * inv, ns * inv
-
-    for dq, _ in noise._increments(path, q_scale):
-        for q11, q12, _, q22 in dq.reshape(len(dq), 4).tolist():
-            x1, x2 = step(x1, x2, q11, q12, q22)
-            y1, y2 = step(y1, y2, q11, q12, q22)
-            k += 1
-            if k % spi == 0:
-                dx = y1 - x1
-                dy = y2 - x2
-                logs[k // spi - 1] = _log_growth(math.sqrt(dx * dx + dy * dy), delta0, path, k)
-                y1, y2 = _renorm2(x1, x2, y1, y2, delta0)
-
-
-def _renorm2(x1, x2, y1, y2, delta0):
-    dx = y1 - x1
-    dy = y2 - x2
-    d = math.sqrt(dx * dx + dy * dy)
-    c1 = x1 + (delta0 / d) * dx
-    c2 = x2 + (delta0 / d) * dy
-    inv = 1.0 / math.sqrt(c1 * c1 + c2 * c2)
-    return c1 * inv, c2 * inv
+def _benettin_lift(path, logs, spi, q_scale):
+    # a tangent u at x grows by |r11 / r00| of b [x, u] = q r; q is the next frame [x, u]
+    frame = np.eye(path.n)[:, :2]
+    for k, b in flows._lift_products(path, q_scale, spi):
+        frame, r = np.linalg.qr(b @ frame)
+        logs[k // spi - 1] = _log_growth(abs(r[1, 1] / r[0, 0]), 1.0, path, k)
 
 
 def _benettin_sphere(path, logs, spi, delta0, q_scale, w_scale):
-    # reference and companion as one 2-member run; the companion is pulled
+    # sigma_w > 0: reference and companion as one 2-member run; the companion is pulled
     # back to distance delta0 every spi steps
     states = np.zeros((2, path.n))
     states[:, 0] = 1.0
@@ -387,13 +348,15 @@ def lyapunov_benettin(
     seed: int = 0,
     delta0: float = 1e-8,
 ) -> LyapunovEstimate:
-    """Maximal Lyapunov exponent by the two-trajectory method.
+    """Maximal Lyapunov exponent by Benettin's method.
 
-    A reference trajectory and a companion offset by ``delta0`` are
-    advanced under shared noise; every ``renorm_interval`` the separation
-    is measured, its log-growth accumulated, and the companion pulled back
-    to distance ``delta0``.  Returns the growth rate with a block-averaged
-    standard error.  Deterministic given the seed.
+    Every ``renorm_interval`` a separation's log-growth is accumulated and
+    the separation renormalized.  For the sphere flow with sigma_w = 0, the
+    projection of the linear dY = dQ Y, it is a tangent frame [x, u] taken by
+    QR through each interval's product of lift steps (the delta0 -> 0 limit);
+    the phase model and sigma_w > 0 pull a companion back to ``delta0``, which
+    is checked for every model.  Returns the growth rate with a
+    block-averaged standard error.  Deterministic given the seed.
 
     Models: ``"phase"`` (the circle reduction; params None or empty) and
     ``"sphere"`` (params: n, sigma_q, sigma_w, sign).  Any other key
@@ -424,8 +387,8 @@ def lyapunov_benettin(
     logs = np.empty(intervals)
     if model == "phase":
         _benettin_phase(path, logs, spi, delta0)
-    elif n == 2 and w_scale == 0.0:
-        _benettin_sphere2(path, logs, spi, delta0, q_scale)
+    elif w_scale == 0.0:
+        _benettin_lift(path, logs, spi, q_scale)
     else:
         _benettin_sphere(path, logs, spi, delta0, q_scale, w_scale)
 

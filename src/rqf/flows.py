@@ -7,10 +7,11 @@ get right.  Monte Carlo over realizations uses per-replicate substreams
 (seed, replicate index) and advances replicates in wide batches, split
 over one forked process per CPU whose exit status is its only report; a
 failed batch is stepped again serially, so its error is the serial run's.
-Every sphere runner goes through one Heun loop, ``_advance``, and the
-circle runners through one phase step; all of them read dQ from
-``noise._increments``, one checked slice of at most one 1024-step block
-(and 128 MiB on a single path) at a time.  This module draws nothing itself.
+Every sphere runner goes through one Heun loop, ``_advance``, the circle
+runners through one phase step, and the sigma_w = 0 Lyapunov estimator through
+the linear lift's step products, ``_lift_products``; all read dQ from
+``noise._increments``, one checked slice of at most one 1024-step block (and
+128 MiB on a single path) at a time.  This module draws nothing itself.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import noise
 from .geometry import fibonacci_sphere, random_unit_vector, unit_vector
-from .integrators import _heun_step, _scales
+from .integrators import _heun_lift, _heun_step, _scales
 
 __all__ = [
     "Ensemble",
@@ -143,6 +144,34 @@ def _advance(states: np.ndarray, path, q_scale: float, w_scale, on_step=None) ->
         highs[:] = [max(highs)]
         del dq_block, dw_block  # freed before the next slice is drawn
     return max(float(highs[0]) - 1.0, 1.0 - float(lows[0]))
+
+
+def _chain(ms):
+    # the product of ms[..., ::-1, :, :] by pairwise halving, each level over its largest entry
+    while (size := ms.shape[-3]) > 1:
+        pairs = ms[..., 1 : size - size % 2 : 2, :, :] @ ms[..., : size - 1 : 2, :, :]
+        ms = np.concatenate([pairs, ms[..., size - size % 2 :, :, :]], -3)
+        ms /= np.abs(ms).max(axis=(-2, -1), keepdims=True)
+    return ms[..., 0, :, :]
+
+
+def _lift_products(path, q_scale: float, spi: int):
+    """Yield ``(k, B)`` at every ``spi``-th step k of ``path``, B the product of the interval's
+    ``_heun_lift`` steps over its largest entry; an interval carries its partial product across slices."""
+    n, k, carry = path.n, 0, None
+    for dq, _ in noise._increments(path, q_scale):
+        ms = _heun_lift(dq)
+        head = min(-k % spi, len(ms))  # the steps that finish the interval in progress
+        whole = (len(ms) - head) // spi
+        if head:
+            carry, k = _chain(np.concatenate([carry[None], ms[:head]])), k + head
+            if k % spi == 0:
+                yield k, carry
+        for b in _chain(ms[head : head + whole * spi].reshape(whole, spi, n, n)):
+            k += spi
+            yield k, b
+        if rest := len(ms) - head - whole * spi:
+            carry, k = _chain(ms[-rest:]), k + rest
 
 
 def _unit_rows(initials) -> np.ndarray:
@@ -263,7 +292,7 @@ def _stepped(reads, shape, step) -> np.ndarray:
     the others, each writing straight into ``out``, an anonymous shared
     mapping.  A row's bits do not depend on the rows stepped beside it, so
     w changes none.  An output the mapping cannot allocate raises
-    MemoryError.
+    MemoryError before any read is cut.
 
     A child reports by its exit status alone: 0 once its share is stepped,
     1 if it raised.  Every child is reaped before this returns or raises,
@@ -273,11 +302,6 @@ def _stepped(reads, shape, step) -> np.ndarray:
     which raises its own error, or fills every row where a child died of
     something outside it.  An unforked batch is the serial run.
     """
-    affinity = getattr(os, "sched_getaffinity", None)
-    replicates = sum(read.count for read in reads)
-    workers = max(1, min(len(affinity(0)) if affinity else 1, replicates // _GROUP_REPLICATES))
-    cuts = [read.split(workers) for read in reads]
-    shares = [[cut[w] for cut in cuts if cut[w].count] for w in range(workers)]
     size = 8 * math.prod(shape)
     try:
         buffer = mmap.mmap(-1, max(1, size))  # mmap refuses 0 bytes
@@ -286,6 +310,11 @@ def _stepped(reads, shape, step) -> np.ndarray:
             raise
         raise MemoryError(f"Unable to allocate {size} bytes for a batch output of shape {shape}") from exc
     out = np.ndarray(shape, buffer=buffer)
+    affinity = getattr(os, "sched_getaffinity", None)
+    replicates = sum(read.count for read in reads)
+    workers = max(1, min(len(affinity(0)) if affinity else 1, replicates // _GROUP_REPLICATES))
+    cuts = [read.split(workers) for read in reads]
+    shares = [[cut[w] for cut in cuts if cut[w].count] for w in range(workers)]
     children, done, failed = [], False, False
     try:
         for share in shares[1:]:

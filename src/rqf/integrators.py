@@ -5,7 +5,8 @@
   sphere after every step.  One step serves a single state here and whole
   (replicate, member) stacks in the trajectory loop of ``rqf.flows``.  The
   flow itself preserves the sphere, so the pre-renormalization defect is
-  pure discretization error and is reported alongside the state.
+  pure discretization error and is reported alongside the state.  Without
+  vector noise the flow projects the linear dY = dQ Y, stepped by one matrix.
 * The exact solution map of the deterministic quadratic-form gradient
   flow, x(t) = exp(tM) x0 / ||exp(tM) x0||.
 """
@@ -82,6 +83,11 @@ def _heun_step(states, dq, dw, w_scale):
     f2 *= 0.5
     f2 += states
     return f2, np.sqrt(np.vecdot(f2, f2, keepdims=True))
+
+
+def _heun_lift(dq):
+    # the Heun step I + dQ + dQ^2/2 of the linear lift dY = dQ Y; dq as in _heun_step
+    return np.eye(dq.shape[-1]) + dq + 0.5 * (dq @ dq)
 
 
 def _single_step(x, dq, dw, q_scale: float, w_scale: float) -> StepResult:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rqf import flows
+from rqf import diagnostics, flows, noise
 from rqf.diagnostics import (
     _ks_marginals,
     attractor_detect,
@@ -302,6 +302,44 @@ class TestLyapunovBenettin:
     def test_invalid_sign_or_sigma_rejected(self, params):
         with pytest.raises(ValueError, match="sign|sigma"):
             lyapunov_benettin("sphere", params, 1.0, 1e-2, 0.1)
+
+
+class TestHeunLift:
+    @pytest.mark.parametrize("spi, intervals", [(7, 600), (128, 32), (1500, 3)])
+    def test_streamed_interval_products_match_step_by_step(self, spi, intervals):
+        # intervals that end inside, exactly at and across the 1024-step
+        # slices: each log growth is that of the product taken one step at a
+        # time.  At dt = 1e-3 an interval is at most 1.5 units; over 15 the
+        # product's conditioning lets the two orders of rounding part by 3e-9
+        path = noise.NoisePath(41, 3, 1e-3, spi * intervals)
+        logs = np.empty(intervals)
+        diagnostics._benettin_lift(path, logs, spi, -1.0)
+        expected, b, frame = [], np.eye(3), np.eye(3)[:, :2]
+        for k, dq in enumerate(noise.symmetrize(path.matrix_increments, -1.0), 1):
+            b = (np.eye(3) + dq + dq @ dq / 2) @ b
+            b /= np.abs(b).max()
+            if k % spi == 0:
+                frame, r = np.linalg.qr(b @ frame)
+                expected.append(math.log(abs(r[1, 1] / r[0, 0])))
+                b = np.eye(3)
+        np.testing.assert_allclose(logs, expected, rtol=1e-10)
+
+    def test_an_interval_of_1500_units_raises_without_overflow(self):
+        # 15,000 steps in one product: rescaled, it collapses to rounding
+        # and raises on a finite ratio, not on inf or NaN
+        with pytest.raises(NumericalError, match=r"separation ratio \d\.\d{3}e-\d+ left .* "
+                                                 r"at step 15000 \(seed 3, stream 0\)"):
+            lyapunov_benettin("sphere", {"n": 2}, 3000.0, 0.1, 1500.0, seed=3)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_lift_agrees_with_the_sphere_heun_step(self, n):
+        # two discretisations of one SDE on one noise path
+        T, dt, renorm = 200.0, 1e-3, 0.1
+        lift = lyapunov_benettin("sphere", {"n": n}, T, dt, renorm, seed=11)
+        spi, intervals = diagnostics._benettin_grid(T, dt, renorm)
+        logs = np.empty(intervals)
+        diagnostics._benettin_sphere(noise.NoisePath(11, n, dt, spi * intervals), logs, spi, 1e-8, -1.0, 0.0)
+        assert abs(lift.lambda_ - logs.mean() / (spi * dt)) < 0.01
 
 
 def test_pullback_pole_directions_uniform():
